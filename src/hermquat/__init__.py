@@ -27,6 +27,7 @@ from .hermitian import (
     DiscValue,
     FORM_SIGN_CONVENTION,
     HermSpace,
+    IntegralForm,
     LATTICE_SIGN_CONVENTION,
     Lattice,
     det_form,

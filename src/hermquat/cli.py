@@ -172,8 +172,8 @@ def _csv_rows(rows):
     )
     for row in rows:
         witness = ""
-        if row.witness is not None:
-            witness = f"({row.witness[0]}, {row.witness[1]})"
+        if row.report.witness is not None:
+            witness = f"({row.report.witness[0]}, {row.report.witness[1]})"
         writer.writerow(
             [
                 row.alpha,
@@ -205,7 +205,9 @@ def cmd_sweep(args) -> int:
                     "Delta": jsonio.rat_str(row.delta.value),
                     "definiteness": row.definiteness.value,
                     "verdict": row.report.verdict,
-                    "witness": jsonio.vector_obj(row.witness) if row.witness else None,
+                    "witness": jsonio.vector_obj(row.report.witness)
+                    if row.report.witness
+                    else None,
                     "order_disc": jsonio.rat_str(row.order_disc.value)
                     if row.order_disc
                     else None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import isqrt, lcm
 
 from . import linalg
 from .errors import (
@@ -123,7 +124,7 @@ def _scalar_matrix(field: QuadField, l: QElem):
 class HermSpace:
     """Binary hermitian space with Gram matrix [[alpha, gamma], [conj(gamma), beta]]."""
 
-    __slots__ = ("field", "alpha", "beta", "gamma", "_gram4", "_defin")
+    __slots__ = ("field", "alpha", "beta", "gamma", "_gram4", "_defin", "_form")
 
     def __init__(self, field: QuadField, alpha, beta, gamma):
         self.field = field
@@ -135,6 +136,7 @@ class HermSpace:
         self.gamma = g
         self._gram4 = None
         self._defin = None
+        self._form = None
 
     def s_value(self, v: Vector, w: Vector) -> QElem:
         """The sesquilinear form; L-linear in v, conjugate-linear in w."""
@@ -162,30 +164,60 @@ class HermSpace:
     def is_nondegenerate(self) -> bool:
         return self.det2() != 0
 
+    def _double_gram4(self):
+        """Integers (M, k) with 2 * gram4() = M / k, from the closed form.
+
+        gram4 = [[alpha*N, C], [C^T, beta*N]]: N = [[1, -a/2], [-a/2, b]] is
+        the norm Gram of B on (1, omega), a and b the coefficients of the
+        minimal polynomial of omega, and C[i][j] = tr(x_i * conj(y_j) *
+        gamma) / 2 for x_i, y_j in (1, omega).
+        """
+        ma, mb = self.field.min_a, self.field.min_b
+        fr = (self.alpha, self.beta, self.gamma.a, self.gamma.b)
+        k = lcm(*(x.denominator for x in fr))
+        al, be, ga, gb = (x.numerator * (k // x.denominator) for x in fr)
+        # k times tr(gamma), tr(omega*gamma) and tr(conj(omega)*gamma)
+        t1 = 2 * ga - ma * gb
+        tw = -ma * ga + (ma * ma - 2 * mb) * gb
+        tc = -ma * t1 - tw
+        m = [
+            [2 * al, -ma * al, t1, tc],
+            [-ma * al, 2 * mb * al, tw, mb * t1],
+            [t1, tw, 2 * be, -ma * be],
+            [tc, mb * t1, -ma * be, 2 * mb * be],
+        ]
+        return m, k
+
     def gram4(self):
         """Gram matrix of h on the fixed rational basis of V."""
         if self._gram4 is None:
-            basis = space_basis(self.field)
-            g = [[Fraction(0)] * 4 for _ in range(4)]
-            for i in range(4):
-                g[i][i] = self.h_value(basis[i])
-                for j in range(i + 1, 4):
-                    g[i][j] = g[j][i] = self.b_value(basis[i], basis[j]) / 2
-            self._gram4 = g
+            m, k = self._double_gram4()
+            self._gram4 = [[Fraction(x, 2 * k) for x in row] for row in m]
         return self._gram4
 
     def definiteness(self) -> Definiteness:
+        """Sylvester's criterion on the 2x2 hermitian Gram matrix."""
         if self._defin is None:
-            pos, neg, zero = linalg.signature(self.gram4())
-            if zero:
+            det2 = self.det2()
+            if det2 == 0:
                 self._defin = Definiteness.DEGENERATE
-            elif pos == 4:
-                self._defin = Definiteness.POSITIVE_DEFINITE
-            elif neg == 4:
-                self._defin = Definiteness.NEGATIVE_DEFINITE
-            else:
+            elif det2 < 0:
                 self._defin = Definiteness.INDEFINITE
+            elif self.alpha > 0:
+                self._defin = Definiteness.POSITIVE_DEFINITE
+            else:
+                self._defin = Definiteness.NEGATIVE_DEFINITE
         return self._defin
+
+    def integral_form(self, lattice: "Lattice") -> "IntegralForm":
+        """The validated IntegralForm of h on ``lattice``.
+
+        The record of the last lattice asked for is kept, so the layers of
+        one pipeline run share a single record for the pair.
+        """
+        if self._form is None or self._form.lattice is not lattice:
+            self._form = IntegralForm(self, lattice)
+        return self._form
 
     def scale(self, c) -> "HermSpace":
         c = Fraction(c)
@@ -326,7 +358,7 @@ def polarize_independence_check(h_gram, field: QuadField, l_samples) -> bool:
 class Lattice:
     """A rank-4 Z-lattice in L^2 that is a module over the ring of integers."""
 
-    __slots__ = ("field", "basis", "_rows", "_inv", "omega_action")
+    __slots__ = ("field", "basis", "_rows", "_scaled_rows", "_inv", "omega_action")
 
     def __init__(self, field: QuadField, basis):
         basis = tuple(basis)
@@ -341,6 +373,7 @@ class Lattice:
         self.field = field
         self.basis = basis
         self._rows = rows
+        self._scaled_rows = linalg.scaled_integer_matrix(rows)
         self._inv = linalg.mat_inverse(rows)
         w = field.omega()
         action = []
@@ -358,6 +391,10 @@ class Lattice:
 
     def coord_rows(self):
         return self._rows
+
+    def scaled_rows(self):
+        """(R, den): integer rows with coord_rows() = R / den."""
+        return self._scaled_rows
 
     def coords_of(self, v: Vector):
         return linalg.vec_mat(vec_coords(v), self._inv)
@@ -466,3 +503,57 @@ def discriminant_form(space: HermSpace, lattice: Lattice) -> DiscValue:
             f"discriminant {value} of an integral form is not an integer"
         )
     return DiscValue(value, FORM_SIGN_CONVENTION)
+
+
+# ---------------------------------------------------------------------------
+# One validated record per (form, lattice)
+
+
+class IntegralForm:
+    """A nondegenerate form that is integral on a lattice, with its invariants.
+
+    Built once per (form, lattice) pair, kept by ``HermSpace.integral_form``
+    and read by every layer of the pipeline, so that no layer tests
+    integrality or computes the discriminant again.
+    ``w`` is the integer matrix 2*G of the bilinear form b = tr(s) on the
+    lattice basis, where G = R.gram4.R^T is the Gram matrix of h there:
+    h is integral exactly when 2*G is an integer matrix with an even
+    diagonal, and det(2*G) = Delta^2.  The sign of Delta is positive exactly
+    for indefinite forms.  ``discriminant_form`` computes Delta on an
+    independent path (a free sublattice and its index).  The record holds
+    no reference back to its space, so that a space and the record it keeps
+    are freed together without waiting for the cycle collector.
+    """
+
+    __slots__ = ("lattice", "w", "definiteness", "delta")
+
+    def __init__(self, space: HermSpace, lattice: Lattice):
+        rows, den = lattice.scaled_rows()
+        m, k = space._double_gram4()
+        scale = den * den * k
+        rm = [[sum(r[t] * m[t][j] for t in range(4)) for j in range(4)] for r in rows]
+        w = [[0] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                q, rem = divmod(sum(rm[i][t] * rows[j][t] for t in range(4)), scale)
+                if rem:
+                    raise NotIntegralError("form is not integral on the lattice")
+                w[i][j] = w[j][i] = q
+            if w[i][i] % 2:
+                raise NotIntegralError("form is not integral on the lattice")
+        if not space.is_nondegenerate():
+            raise DegenerateFormError("discriminant of a degenerate form")
+        det = int(linalg.mat_det(w))
+        root = isqrt(det) if det > 0 else 0
+        if root * root != det:
+            raise InvariantViolation(f"det(2G) = {det} of an integral form is not a square")
+        self.lattice = lattice
+        self.w = w
+        self.definiteness = space.definiteness()
+        sign = 1 if self.definiteness is Definiteness.INDEFINITE else -1
+        self.delta = DiscValue(Fraction(sign * root), FORM_SIGN_CONVENTION)
+
+    @property
+    def gram(self):
+        """G = w / 2, built on each call to keep the stored record small."""
+        return [[Fraction(x, 2) for x in row] for row in self.w]

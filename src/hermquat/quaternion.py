@@ -21,7 +21,6 @@ from .errors import (
     InputError,
     InvariantViolation,
     MembershipError,
-    NotIntegralError,
     RankError,
 )
 from .hermitian import (
@@ -30,7 +29,6 @@ from .hermitian import (
     HermSpace,
     Lattice,
     Vector,
-    is_integral,
     det_form,
     space_basis,
     vec_coords,
@@ -65,19 +63,15 @@ def algebra_table(a, b, theta):
 class QuatAlgebra:
     """A 4-dimensional algebra given by structure constants.
 
-    ``table[i][j]`` holds the coordinates of e_i * e_j.  Canonical algebras
-    built from a pointed hermitian space carry ``theta`` (u^2 = theta),
-    ``gamma_data`` (the audit value s(w, v) used to orthogonalize) and
-    ``frame`` (rows = V-coordinates of the algebra basis).
+    ``table[i][j]`` holds the coordinates of e_i * e_j.  Only
+    ``canonical`` sets ``theta`` (u^2 = theta) and ``frame`` (rows =
+    V-coordinates of the algebra basis); the closed-form norm Gram relies
+    on ``theta`` describing the table, so a parsed table never carries it.
     """
 
-    __slots__ = (
-        "field", "table", "one", "theta", "gamma_data", "frame",
-        "_frame_inv", "_trace_vec",
-    )
+    __slots__ = ("field", "table", "one", "theta", "frame", "_frame_inv", "_trace_vec")
 
-    def __init__(self, field, table, one=None, theta=None, gamma_data=None,
-                 frame=None, validate=False):
+    def __init__(self, field, table, one=None, validate=False):
         self.field = field
         self.table = [
             [[Fraction(x) for x in entry] for entry in row] for row in table
@@ -87,10 +81,9 @@ class QuatAlgebra:
             if one is None
             else [Fraction(x) for x in one]
         )
-        self.theta = Fraction(theta) if theta is not None else None
-        self.gamma_data = gamma_data
-        self.frame = frame
-        self._frame_inv = linalg.mat_inverse(frame) if frame is not None else None
+        self.theta = None
+        self.frame = None
+        self._frame_inv = None
         # reduced_trace(x) = <x, _trace_vec> / 2 since tr(L_x) is linear in x
         self._trace_vec = [
             sum(self.table[i][j][j] for j in range(4)) for i in range(4)
@@ -104,9 +97,14 @@ class QuatAlgebra:
                 raise InputError(f"multiplication table is not associative at {(i, j, k)}")
 
     @classmethod
-    def canonical(cls, field: QuadField, theta, gamma_data=None, frame=None):
-        table = algebra_table(field.min_a, field.min_b, theta)
-        return cls(field, table, theta=theta, gamma_data=gamma_data, frame=frame)
+    def canonical(cls, field: QuadField, theta, frame=None):
+        """L + L.u on the basis (1, omega, u, omega*u) with u^2 = theta."""
+        alg = cls(field, algebra_table(field.min_a, field.min_b, theta))
+        alg.theta = Fraction(theta)
+        if frame is not None:
+            alg.frame = frame
+            alg._frame_inv = linalg.mat_inverse(frame)
+        return alg
 
     # -- multiplication and the reduced operations
 
@@ -166,6 +164,17 @@ class QuatAlgebra:
         return self.reduced_norm(xy) - self.reduced_norm(x) - self.reduced_norm(y)
 
     def norm_gram(self):
+        """Gram matrix of the reduced norm on the basis of the table.
+
+        For a canonical algebra n(x + y*u) = n(x) - theta*n(y), so the Gram
+        is blockdiag(N, -theta*N) with N the norm Gram of B on (1, omega).
+        """
+        if self.theta is not None:
+            ma, mb = self.field.min_a, self.field.min_b
+            n = [[Fraction(1), Fraction(-ma, 2)], [Fraction(-ma, 2), Fraction(mb)]]
+            z = Fraction(0)
+            th = self.theta
+            return [row + [z, z] for row in n] + [[z, z] + [-th * x for x in row] for row in n]
         basis = _std_basis()
         g = [[Fraction(0)] * 4 for _ in range(4)]
         for i in range(4):
@@ -224,7 +233,7 @@ def build_algebra(space: HermSpace, point: Vector) -> QuatAlgebra:
         vec_coords(u),
         vec_coords(vec_scale(omega, u)),
     ]
-    alg = QuatAlgebra.canonical(field, theta, gamma_data=gamma0, frame=frame)
+    alg = QuatAlgebra.canonical(field, theta, frame=frame)
     expected = linalg.mat_mul(
         linalg.mat_mul(frame, space.gram4()), linalg.mat_transpose(frame)
     )
@@ -317,8 +326,7 @@ def build_order(space: HermSpace, lattice: Lattice, point: Vector):
     constructively; a failure would falsify the order-closure lemma and is
     surfaced as InvariantViolation.
     """
-    if not is_integral(space, lattice):
-        raise NotIntegralError("form is not integral on the lattice")
+    space.integral_form(lattice)  # raises unless h is integral and nondegenerate
     if not lattice.contains(point):
         raise MembershipError("point does not lie in the lattice")
     alg = build_algebra(space, point)

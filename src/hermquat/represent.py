@@ -21,18 +21,15 @@ from .errors import (
     HypothesisError,
     InputError,
     InvariantViolation,
-    NotIntegralError,
     UnsupportedRamificationError,
 )
 from .hermitian import (
     Definiteness,
     DiscValue,
     HermSpace,
+    IntegralForm,
     Lattice,
     Vector,
-    discriminant_form,
-    gram_on_basis,
-    is_integral,
     vec_add,
     vec_scale,
 )
@@ -181,23 +178,39 @@ def _shell_vectors(height, clamps):
 # Local tests
 
 
-def _find_unit_value(space: HermSpace, lattice: Lattice, p: int):
-    """A lattice vector with h-value prime to p, or None if h(Lambda) in pZ."""
-    b = lattice.basis
-    hs = [int(space.h_value(v)) for v in b]
+def _find_unit_value(form: IntegralForm, p: int):
+    """A lattice vector with h-value prime to p and that value, or None.
+
+    Reads h(b_i) = w_ii / 2 and b(b_i, b_j) = w_ij off the record; None
+    means h(Lambda) lies in pZ.
+    """
+    b = form.lattice.basis
+    w = form.w
     for i in range(4):
-        if hs[i] % p:
-            return b[i]
+        if (w[i][i] // 2) % p:
+            return b[i], w[i][i] // 2
     for i in range(4):
         for j in range(i + 1, 4):
-            if int(space.b_value(b[i], b[j])) % p:
-                return vec_add(b[i], b[j])
+            if w[i][j] % p:
+                return vec_add(b[i], b[j]), (w[i][i] + w[j][j]) // 2 + w[i][j]
     return None
 
 
 def _norm_residue_scale(field: QuadField, target: int, modulus: int):
-    """(r, s) with n(r + s*omega) = target mod modulus, or None."""
+    """(r, s) with n(r + s*omega) = target mod modulus, or None.
+
+    The modulus is 8 or an odd prime p not dividing D.  For odd p,
+    completing the square gives 4*n(r + s*omega) = y^2 - D*s^2 with
+    y = 2r - a*s, so the smallest s with 4*target + D*s^2 a square y^2
+    mod p fixes r = (y + a*s)/2; modulus 8 is scanned.
+    """
     a, b = field.min_a, field.min_b
+    if modulus % 2:
+        for s in range(modulus):
+            y = _sqrt_mod(4 * target + field.D * s * s, modulus)
+            if y is not None:
+                return (y + a * s) * ((modulus + 1) // 2) % modulus, s
+        return None
     for r in range(modulus):
         for s in range(modulus):
             if (r * r - a * r * s + b * s * s - target) % modulus == 0:
@@ -211,15 +224,7 @@ def _frac_mod(x: Fraction, m: int) -> int:
     return x.numerator * pow(x.denominator, -1, m) % m
 
 
-def local_test(
-    space: HermSpace,
-    lattice: Lattice,
-    p: int,
-    *,
-    gram=None,
-    delta: DiscValue | None = None,
-    checked: bool = False,
-) -> LocalReport:
+def local_test(space: HermSpace, lattice: Lattice, p: int) -> LocalReport:
     """Solvability of h = 1 over the p-adic integers, with a certificate.
 
     Requires the form integral with val_p of the discriminant at most 1.
@@ -227,39 +232,33 @@ def local_test(
     means h(Lambda) is divisible by p and the form is locally insolvable.
     Ramified odd p: the quaternary form is diagonalized with p-adically
     integral pivots and the two unit diagonal entries already represent 1.
-    Ramified p = 2 is outside the supported theory.  ``gram``, ``delta`` and
-    ``checked`` let a caller reuse invariants it already computed.
+    Ramified p = 2 is outside the supported theory.
     """
     if not isprime(p):
         raise InputError(f"{p} is not prime")
-    if not checked and not is_integral(space, lattice):
-        raise NotIntegralError("local test requires an integral form")
+    form = space.integral_form(lattice)
     field = space.field
     if p == 2 and field.D % 2 == 0:
         raise UnsupportedRamificationError(
             "p = 2 ramifies (even field discriminant); unsupported"
         )
-    if delta is None:
-        delta = discriminant_form(space, lattice)
-    n_delta = int(delta.as_ideal)
+    n_delta = int(form.delta.as_ideal)
     if linalg.valuation(n_delta, p) >= 2:
         raise HypothesisError(
             f"|Delta| = {n_delta} is not square-free at p = {p}", prime=p
         )
-    if gram is None:
-        gram = gram_on_basis(space, lattice.basis)
     if field.D % p != 0:
-        return _local_unramified(space, lattice, gram, p)
-    return _local_ramified(space, lattice, gram, p, n_delta)
+        return _local_unramified(form, p)
+    return _local_ramified(form, p, n_delta)
 
 
-def _local_unramified(space, lattice, gram, p):
-    u = _find_unit_value(space, lattice, p)
-    if u is None:
+def _local_unramified(form: IntegralForm, p: int):
+    found = _find_unit_value(form, p)
+    if found is None:
         method = METHOD_DIRECT_HENSEL if p == 2 else METHOD_UNRAMIFIED_UNIT
         return LocalReport(p, False, method, None)
-    hval = int(space.h_value(u))
-    field = space.field
+    u, hval = found
+    field = form.lattice.field
     if p == 2:
         modulus, k, t = 8, 3, 1
         method = METHOD_DIRECT_HENSEL
@@ -274,17 +273,18 @@ def _local_unramified(space, lattice, gram, p):
         )
     lam = field.elem(rs[0], rs[1])
     x = vec_scale(lam, u)
-    coords = lattice.integer_coords(x)
+    coords = form.lattice.integer_coords(x)
     cert_vec = tuple(c % p**k for c in coords)
     cert = Certificate(cert_vec, k, t)
-    if not hensel_liftable(gram, list(cert_vec), p, t):
+    if not hensel_liftable(form.gram, list(cert_vec), p, t):
         raise InvariantViolation(f"constructed certificate fails Hensel at p = {p}")
     return LocalReport(p, True, method, cert)
 
 
-def _local_ramified(space, lattice, gram, p, n_delta):
+def _local_ramified(form: IntegralForm, p: int, n_delta: int):
     if p == 2:
         raise UnsupportedRamificationError("p = 2 ramified case is unsupported")
+    gram = form.gram
     diag, trans = linalg.congruence_diagonalize(gram, prime=p)
     for row in trans:
         for x in row:
@@ -340,14 +340,7 @@ def _sqrt_mod(a: int, p: int):
 # Global search
 
 
-def global_search(
-    space: HermSpace,
-    lattice: Lattice,
-    height_bound: int,
-    *,
-    gram=None,
-    checked: bool = False,
-):
+def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     """First lattice vector with h = 1 in (shell, c1, c2, c3, c4) order.
 
     Coefficients run over [-H, H] with H increasing to the bound; for a
@@ -355,18 +348,15 @@ def global_search(
     exact ellipsoid bound, making the search complete.  Returns None when
     the search space is exhausted.
     """
-    if not checked and not is_integral(space, lattice):
-        raise NotIntegralError("global search expects an integral form")
-    if gram is None:
-        gram = gram_on_basis(space, lattice.basis)
-    w = [[int(2 * x) for x in row] for row in gram]
-    defin = space.definiteness()
+    form = space.integral_form(lattice)
+    w = form.w
+    defin = form.definiteness
     if defin == Definiteness.NEGATIVE_DEFINITE:
         return None
     clamps = (height_bound,) * 4
     top = height_bound
     if defin == Definiteness.POSITIVE_DEFINITE:
-        inv = linalg.mat_inverse(gram)
+        inv = linalg.mat_inverse(form.gram)
         clamps = tuple(
             min(height_bound, _floor_sqrt_fraction(inv[i][i])) for i in range(4)
         )
@@ -382,7 +372,7 @@ def global_search(
                         row[0] * c[0] + row[1] * c[1] + row[2] * c[2] + row[3] * c[3]
                     )
             if total == 2:
-                return lattice.from_integer_coords(c)
+                return form.lattice.from_integer_coords(c)
     return None
 
 
@@ -418,10 +408,9 @@ def represents_one_integral(
         )
     if not space.is_nondegenerate():
         raise InputError("pipeline requires a nondegenerate form")
-    if not is_integral(space, lattice):
-        raise NotIntegralError("pipeline requires an integral form")
-    defin = space.definiteness()
-    delta = discriminant_form(space, lattice)
+    form = space.integral_form(lattice)
+    defin = form.definiteness
+    delta = form.delta
     if defin == Definiteness.NEGATIVE_DEFINITE:
         return RepOneReport(
             real_ok=False,
@@ -430,12 +419,8 @@ def represents_one_integral(
             verdict=VERDICT_REAL_OBSTRUCTION,
             discriminant=delta,
         )
-    gram = gram_on_basis(space, lattice.basis)
     primes = list(config.primes) if config.primes else local_prime_set(field, delta)
-    reports = [
-        local_test(space, lattice, p, gram=gram, delta=delta, checked=True)
-        for p in primes
-    ]
+    reports = [local_test(space, lattice, p) for p in primes]
     bad = next((r for r in reports if not r.solvable), None)
     if bad is not None:
         return RepOneReport(
@@ -446,9 +431,7 @@ def represents_one_integral(
             obstruction_prime=bad.prime,
             discriminant=delta,
         )
-    witness = global_search(
-        space, lattice, config.search_bound, gram=gram, checked=True
-    )
+    witness = global_search(space, lattice, config.search_bound)
     if witness is not None:
         return RepOneReport(
             real_ok=True,

@@ -12,14 +12,12 @@ from dataclasses import dataclass
 
 from sympy import factorint
 
+from .errors import NotIntegralError
 from .hermitian import (
     Definiteness,
     DiscValue,
     HermSpace,
     Lattice,
-    Vector,
-    discriminant_form,
-    is_integral,
 )
 from .qfield import QElem, QuadField
 from .quaternion import build_order
@@ -40,7 +38,6 @@ class SweepRow:
     delta: DiscValue
     definiteness: Definiteness
     report: RepOneReport
-    witness: Vector | None
     order_disc: DiscValue | None
     discs_equal: bool | None
 
@@ -58,16 +55,20 @@ def iter_candidate_forms(field: QuadField, height: int):
 
 
 def surviving_forms(field: QuadField, height: int):
-    """Integral, nondegenerate forms on B^2 with square-free |Delta|."""
+    """Integral, nondegenerate forms on B^2 with square-free |Delta|.
+
+    Each yielded space keeps its validated IntegralForm on the lattice
+    (``space.integral_form``), which the later layers read.
+    """
     lattice = Lattice.standard(field)
     for alpha, beta, gamma, space in iter_candidate_forms(field, height):
         if not space.is_nondegenerate():
             continue
-        if not is_integral(space, lattice):
+        try:
+            delta = space.integral_form(lattice).delta
+        except NotIntegralError:
             continue
-        delta = discriminant_form(space, lattice)
-        n = int(delta.as_ideal)
-        if any(e > 1 for e in factorint(n).values()):
+        if any(e > 1 for e in factorint(int(delta.as_ideal)).values()):
             continue
         yield alpha, beta, gamma, space, lattice, delta
 
@@ -105,7 +106,6 @@ def run_sweep(
                 delta=delta,
                 definiteness=space.definiteness(),
                 report=report,
-                witness=report.witness,
                 order_disc=order_disc,
                 discs_equal=discs_equal,
             )

@@ -5,6 +5,7 @@ each test prints one pass/fail line.  The two sweep-based tests share one
 height-3 sweep over d in {-3, -7}.
 """
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from hermquat import (
     represents_one_integral,
     run_sweep,
 )
+from hermquat.cli import _csv_rows
 from hermquat.errors import HypothesisError, UnsupportedRamificationError
 from hermquat.represent import VERDICT_REAL_OBSTRUCTION, VERDICT_REPRESENTED
 from hermquat.verify import (
@@ -39,6 +41,13 @@ from hermquat.verify import (
 from tests_fixtures import m2z_order
 
 SEED = 20240801
+
+# SHA-256 of `hermquat sweep --d <d> --height 3 --format csv` (search bound
+# 50), recorded before the sweep computed its invariants once per row
+HEIGHT3_CSV_SHA256 = {
+    -3: "6f5b704613e8db96601a88ec76369661ab01ae591bd162fe0b3a80d41f770b75",
+    -7: "6c9d840394d1aab8b35b156387b823e91aa858adbf7bf7df92a15884eefb0165",
+}
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -168,7 +177,7 @@ def test_local_global_desk_scale(desk_sweep):
             if not all(r.solvable for r in row.report.locals):
                 failures.append((d, row.alpha, row.beta, str(row.gamma), "local"))
                 continue
-            if row.space.h_value(row.witness) != 1:
+            if row.space.h_value(row.report.witness) != 1:
                 failures.append((d, row.alpha, row.beta, str(row.gamma), "witness"))
                 continue
             if not row.discs_equal:
@@ -180,6 +189,17 @@ def test_local_global_desk_scale(desk_sweep):
     )
     assert total > 1000
     assert not failures, failures[:3]
+
+
+def test_sweep_csv_byte_identical(desk_sweep):
+    digests = {
+        d: hashlib.sha256(_csv_rows(rows).encode()).hexdigest()
+        for d, rows in desk_sweep.items()
+    }
+    ok = digests == HEIGHT3_CSV_SHA256
+    counts = {d: len(rows) for d, rows in desk_sweep.items()}
+    report("height-3 sweep CSV byte-identical", ok, f"rows {counts}")
+    assert ok, digests
 
 
 def test_sign_convention_probe(desk_sweep):

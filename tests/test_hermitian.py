@@ -6,6 +6,7 @@ import pytest
 from hermquat import (
     Definiteness,
     HermSpace,
+    IntegralForm,
     Lattice,
     QuadField,
     det_form,
@@ -28,10 +29,13 @@ from hermquat.errors import (
     NotIntegralError,
     RankError,
 )
+from hermquat import linalg
 from hermquat.hermitian import gram_on_basis
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
+# odd and even field discriminants
+CLOSED_FORM_FIELDS = (-1, -2, -3, -5, -7, -11, -15, -19)
 
 
 def random_space(rng, field, height=4):
@@ -333,6 +337,91 @@ class TestDefiniteness:
         assert HermSpace(F7, 1, 0, F7.zero()).definiteness() is Definiteness.DEGENERATE
 
     def test_gram_on_basis_matches_gram4(self):
+        # the closed-form gram4 against h- and b-values of the basis vectors
         space = HermSpace(F7, 2, -3, F7.elem(1, 1))
         std = Lattice.standard(F7)
         assert gram_on_basis(space, std.basis) == space.gram4()
+        rng = random.Random(12)
+        for d in CLOSED_FORM_FIELDS:
+            field = QuadField(d)
+            for _ in range(25):
+                space = random_space(rng, field)
+                assert space.gram4() == gram_on_basis(space, space_basis(field))
+
+    def test_sylvester_matches_signature(self):
+        rng = random.Random(13)
+        names = {(4, 0): Definiteness.POSITIVE_DEFINITE, (0, 4): Definiteness.NEGATIVE_DEFINITE}
+        for d in CLOSED_FORM_FIELDS:
+            field = QuadField(d)
+            for _ in range(25):
+                space = random_space(rng, field, height=2)
+                pos, neg, zero = linalg.signature(space.gram4())
+                if zero:
+                    expected = Definiteness.DEGENERATE
+                else:
+                    expected = names.get((pos, neg), Definiteness.INDEFINITE)
+                assert space.definiteness() is expected
+
+
+def _random_b_stable_pairs(seed, count):
+    """Forms with gamma in the inverse different on random B-stable lattices."""
+    from hermquat.verify import random_b_stable_lattice
+
+    rng = random.Random(seed)
+    for k in range(count):
+        field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
+        lattice = random_b_stable_lattice(rng, field)
+        space = HermSpace(
+            field,
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))),
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))),
+            field.elem(rng.randint(-4, 4), rng.randint(-4, 4)) * field.inverse_sqrt_d(),
+        )
+        yield space, lattice
+
+
+class TestIntegralForm:
+    def test_invariants_match_reference_paths(self):
+        # Delta against the free-pair path, definiteness against the
+        # signature of gram4, the Gram against h- and b-values
+        integral = 0
+        for space, lattice in _random_b_stable_pairs(14, 320):
+            if not space.is_nondegenerate() or not is_integral(space, lattice):
+                continue
+            integral += 1
+            form = IntegralForm(space, lattice)
+            assert form.delta == discriminant_form(space, lattice)
+            pos, neg, _ = linalg.signature(space.gram4())
+            indefinite = (pos, neg) == (2, 2)
+            assert (form.definiteness is Definiteness.INDEFINITE) == indefinite
+            assert form.definiteness is space.definiteness()
+            gram = gram_on_basis(space, lattice.basis)
+            assert form.gram == gram
+            assert form.w == [[int(2 * x) for x in row] for row in gram]
+        assert integral >= 100
+
+    def test_rejects_what_is_integral_rejects(self):
+        rejected = 0
+        for space, lattice in _random_b_stable_pairs(15, 320):
+            if not space.is_nondegenerate():
+                continue
+            if is_integral(space, lattice):
+                IntegralForm(space, lattice)
+                continue
+            rejected += 1
+            with pytest.raises(NotIntegralError):
+                IntegralForm(space, lattice)
+        assert rejected >= 50
+
+    def test_degenerate_rejected(self):
+        with pytest.raises(DegenerateFormError):
+            IntegralForm(HermSpace(F7, 1, 0, F7.zero()), Lattice.standard(F7))
+
+    def test_space_keeps_one_record_per_lattice(self):
+        space = HermSpace(F7, 1, -1, F7.zero())
+        std = Lattice.standard(F7)
+        form = space.integral_form(std)
+        assert space.integral_form(std) is form
+        other = Lattice.standard(F7)
+        assert space.integral_form(other) is not form
+        assert space.integral_form(other).w == form.w

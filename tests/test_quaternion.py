@@ -150,6 +150,34 @@ class TestBuildAlgebra:
         assert alg.reduced_norm(coords) == x.norm() - alg.theta * y.norm()
 
 
+class TestCanonicalClosedForms:
+    def _pairs(self):
+        # a canonical algebra and the same table without its theta
+        rng = random.Random(17)
+        for d in (-1, -2, -3, -7, -15):
+            field = QuadField(d)
+            for _ in range(4):
+                theta = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.choice((1, 2, 3)))
+                alg = QuatAlgebra.canonical(field, theta)
+                yield alg, QuatAlgebra(field, alg.table)
+
+    def test_norm_gram_matches_reduced_norm(self):
+        for alg, generic in self._pairs():
+            assert generic.theta is None
+            assert alg.norm_gram() == generic.norm_gram()
+
+    def test_disc_sign_is_sign_of_theta(self):
+        # n(x) - theta*n(y) is indefinite exactly when theta > 0
+        rows = std_basis()
+        for alg, generic in self._pairs():
+            assert lattice_disc(alg, rows) == lattice_disc(generic, rows)
+            assert (lattice_disc(alg, rows).value > 0) == (alg.theta > 0)
+
+    def test_theta_only_from_canonical(self):
+        with pytest.raises(TypeError):
+            QuatAlgebra(F7, algebra_table(1, 2, 3), theta=3)
+
+
 class TestBuildOrder:
     def test_closure_and_products(self):
         space = HermSpace(F7, 1, -1, F7.zero())

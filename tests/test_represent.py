@@ -5,6 +5,7 @@ import pytest
 
 from hermquat import (
     HermSpace,
+    IntegralForm,
     Lattice,
     QuadField,
     VERDICT_REAL_OBSTRUCTION,
@@ -245,15 +246,54 @@ class TestLocal:
         # always violate the square-free hypothesis (h/p is then integral),
         # so the public path rejects them first and the obstruction branch
         # is exercised directly
-        from hermquat.hermitian import gram_on_basis as gb
         from hermquat.represent import _local_unramified
 
         space = HermSpace(F3, 2, 2, F3.zero())  # h = 2 n(x) + 2 n(y)
         std3 = Lattice.standard(F3)
-        report = _local_unramified(space, std3, gb(space, std3.basis), 2)
+        report = _local_unramified(IntegralForm(space, std3), 2)
         assert not report.solvable and report.certificate is None
         with pytest.raises(HypothesisError):
             local_test(space, std3, 2)
+
+
+class TestNormResidueScale:
+    def test_large_prime_takes_few_square_roots(self, monkeypatch):
+        # the work is one square-root attempt per candidate s, not a scan
+        # that grows with p
+        from hermquat import represent
+
+        calls = []
+        sqrt_mod = represent._sqrt_mod
+        monkeypatch.setattr(
+            represent, "_sqrt_mod", lambda a, p: calls.append(a) or sqrt_mod(a, p)
+        )
+        p = 999983
+        for field in (F7, F3):
+            for target in (1, 2, 3, 5, p - 1):
+                calls.clear()
+                r, s = represent._norm_residue_scale(field, target, p)
+                assert field.elem(r, s).norm() % p == target
+                assert len(calls) == s + 1 <= 16
+
+    def test_agrees_with_brute_force(self):
+        from hermquat.represent import _norm_residue_scale
+
+        for d in (-1, -3, -7, -11, -15, -19):
+            field = QuadField(d)
+            moduli = [p for p in (3, 5, 7, 11, 13, 17) if field.D % p] + [8]
+            if field.D % 2 == 0:
+                moduli.remove(8)
+            for m in moduli:
+                for t in range(1, m):
+                    reachable = any(
+                        (field.elem(r, s).norm() - t) % m == 0
+                        for r in range(m)
+                        for s in range(m)
+                    )
+                    rs = _norm_residue_scale(field, t, m)
+                    assert (rs is not None) == reachable
+                    if rs is not None:
+                        assert (field.elem(*rs).norm() - t) % m == 0
 
 
 class TestGlobalSearch:
@@ -323,12 +363,11 @@ class TestPipeline:
         # forms passing the square-free hypothesis are always locally
         # solvable, so the LocalObstruction verdict can only arise from an
         # unsolvable report; check the assembly path directly
-        from hermquat.hermitian import gram_on_basis as gb
         from hermquat.represent import _local_unramified
 
         space = HermSpace(F3, 2, 2, F3.zero())
         std3 = Lattice.standard(F3)
-        report = _local_unramified(space, std3, gb(space, std3.basis), 2)
+        report = _local_unramified(IntegralForm(space, std3), 2)
         assert not report.solvable
         with pytest.raises(HypothesisError):
             represents_one_integral(space, std3)
