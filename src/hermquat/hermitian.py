@@ -103,20 +103,6 @@ def omega_matrix(field: QuadField):
     ]
 
 
-def _scalar_matrix(field: QuadField, l: QElem):
-    """Matrix of scalar multiplication by l on the fixed Q-structure."""
-    ma, mb = field.min_a, field.min_b
-    c, e = l.a, l.b
-    block = [[c, e], [-e * mb, c - e * ma]]
-    z = Fraction(0)
-    m = [[z] * 4 for _ in range(4)]
-    for k in (0, 2):
-        for i in range(2):
-            for j in range(2):
-                m[k + i][k + j] = block[i][j]
-    return m
-
-
 # ---------------------------------------------------------------------------
 # Hermitian spaces
 
@@ -272,7 +258,7 @@ def sesquilinear_from_gram(gram, field: QuadField, l: QElem | None = None):
         l = field.omega()
     if l.conj() == l:
         raise InputError("polarization sample l must not be rational")
-    lm = _scalar_matrix(field, l) if size == 4 else _scalar_block(field, l, n)
+    lm = _scalar_block(field, l, n)
     lc = l.conj()
     denom = lc - l
 

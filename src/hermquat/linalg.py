@@ -26,10 +26,6 @@ def int_identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def mat_copy(m):
-    return [list(row) for row in m]
-
-
 def mat_transpose(m):
     return [list(col) for col in zip(*m)]
 
@@ -126,21 +122,17 @@ def is_integral_matrix(m) -> bool:
 
 
 def common_denominator(rows) -> int:
-    den = 1
-    for row in rows:
-        for x in row:
-            den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-    return den
+    return math.lcm(*(x.denominator for row in rows for x in row))
 
 
 def scaled_integer_matrix(rows, den=None):
-    """Clear denominators: returns (den * rows as ints, den)."""
+    """Clear denominators: returns (den * rows as ints, den).
+
+    A given ``den`` must be a multiple of every entry's denominator.
+    """
     if den is None:
         den = common_denominator(rows)
-    out = []
-    for row in rows:
-        out.append([int(Fraction(x) * den) for x in row])
-    return out, den
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def evaluate_quadratic(gram, vec) -> Fraction:

@@ -64,12 +64,16 @@ class QuatAlgebra:
     """A 4-dimensional algebra given by structure constants.
 
     ``table[i][j]`` holds the coordinates of e_i * e_j.  Only
-    ``canonical`` sets ``theta`` (u^2 = theta) and ``frame`` (rows =
-    V-coordinates of the algebra basis); the closed-form norm Gram relies
-    on ``theta`` describing the table, so a parsed table never carries it.
+    ``canonical`` sets ``theta`` (u^2 = theta), and only ``build_algebra``
+    sets ``frame`` (rows = V-coordinates of the algebra basis) and its
+    inverse; the closed-form norm Gram relies on ``theta`` describing the
+    table, so a parsed table never carries it.
     """
 
-    __slots__ = ("field", "table", "one", "theta", "frame", "_frame_inv", "_trace_vec")
+    __slots__ = (
+        "field", "table", "one", "theta", "frame", "_frame_inv", "_trace_vec",
+        "_tn", "_td", "_trace_n",
+    )
 
     def __init__(self, field, table, one=None, validate=False):
         self.field = field
@@ -84,9 +88,20 @@ class QuatAlgebra:
         self.theta = None
         self.frame = None
         self._frame_inv = None
+        # the table as integers over one denominator: table[a][b] = _tn[a][b] / _td,
+        # so _tn[a] is the integer matrix of x -> e_a * x on the standard basis
+        flat, td = linalg.scaled_integer_matrix(
+            [entry for row in self.table for entry in row]
+        )
+        self._tn = [flat[4 * a : 4 * a + 4] for a in range(4)]
+        self._td = td
         # reduced_trace(x) = <x, _trace_vec> / 2 since tr(L_x) is linear in x
-        self._trace_vec = [
-            sum(self.table[i][j][j] for j in range(4)) for i in range(4)
+        tv = [sum(self._tn[i][j][j] for j in range(4)) for i in range(4)]
+        self._trace_vec = [Fraction(t, td) for t in tv]
+        # trace Gram trd(e_a * e_b) = _trace_n[a][b] / (2 * _td^2)
+        self._trace_n = [
+            [sum(x * t for x, t in zip(self._tn[a][b], tv)) for b in range(4)]
+            for a in range(4)
         ]
         if validate:
             if not self.is_identity(self.one):
@@ -97,13 +112,10 @@ class QuatAlgebra:
                 raise InputError(f"multiplication table is not associative at {(i, j, k)}")
 
     @classmethod
-    def canonical(cls, field: QuadField, theta, frame=None):
+    def canonical(cls, field: QuadField, theta):
         """L + L.u on the basis (1, omega, u, omega*u) with u^2 = theta."""
         alg = cls(field, algebra_table(field.min_a, field.min_b, theta))
         alg.theta = Fraction(theta)
-        if frame is not None:
-            alg.frame = frame
-            alg._frame_inv = linalg.mat_inverse(frame)
         return alg
 
     # -- multiplication and the reduced operations
@@ -122,9 +134,6 @@ class QuatAlgebra:
                     if entry[k]:
                         out[k] += c * entry[k]
         return out
-
-    def left_mult_matrix(self, x):
-        return [self.mul(x, e) for e in _std_basis()]
 
     def is_identity(self, e) -> bool:
         return all(
@@ -227,17 +236,27 @@ def build_algebra(space: HermSpace, point: Vector) -> QuatAlgebra:
     if theta == 0:
         raise DegenerateFormError("orthogonal complement is isotropic; form degenerate")
     omega = field.omega()
-    frame = [
+    alg = QuatAlgebra.canonical(field, theta)
+    alg.frame = [
         vec_coords(point),
         vec_coords(vec_scale(omega, point)),
         vec_coords(u),
         vec_coords(vec_scale(omega, u)),
     ]
-    alg = QuatAlgebra.canonical(field, theta, frame=frame)
-    expected = linalg.mat_mul(
-        linalg.mat_mul(frame, space.gram4()), linalg.mat_transpose(frame)
-    )
-    if not linalg.mat_eq(alg.norm_gram(), expected):
+    # The frame is the L-linear map (a, b) -> a*point + b*u, whose L-matrix
+    # has rows (point, u); its inverse is [[u1, -v1], [-u0, v0]] / det, and
+    # det = det(point, u) = det(point, w) != 0 by the choice of w.
+    inv = 1 / (point[0] * u[1] - point[1] * u[0])
+    inv_rows = ((u[1] * inv, -point[1] * inv), (-u[0] * inv, point[0] * inv))
+    alg._frame_inv = [
+        vec_coords(r) for row in inv_rows for r in (row, vec_scale(omega, row))
+    ]
+    # frame.gram4.frame^T = fn.m.fn^T / (2*k*fd^2), where 2*gram4 = m / k
+    fn, fd = linalg.scaled_integer_matrix(alg.frame)
+    m, k = space._double_gram4()
+    got = linalg.mat_mul(linalg.mat_mul(fn, m), linalg.mat_transpose(fn))
+    scale = 2 * k * fd * fd
+    if not linalg.mat_eq([[x * scale for x in row] for row in alg.norm_gram()], got):
         raise InvariantViolation("norm form of the built algebra differs from h")
     return alg
 
@@ -254,24 +273,41 @@ class QuatOrder:
     def __init__(self, algebra: QuatAlgebra, zbasis):
         self.algebra = algebra
         self.zbasis = [[Fraction(x) for x in row] for row in zbasis]
-        if len(self.zbasis) != 4 or linalg.mat_det(self.zbasis) == 0:
+        if len(self.zbasis) != 4:
             raise RankError("order basis must be 4 independent vectors")
-        self._zinv = linalg.mat_inverse(self.zbasis)
+        try:
+            self._zinv = linalg.mat_inverse(self.zbasis)
+        except RankError as exc:
+            raise RankError("order basis must be 4 independent vectors") from exc
         one = linalg.vec_mat(algebra.one, self._zinv)
         if not linalg.is_integral_vector(one):
             raise ClosureError("lattice does not contain the identity")
         self.one_coords = [int(x) for x in one]
+        # z_i * z_j = z_j . (sum_a z_i[a] * tn_a) / td, so the coordinates of
+        # the products z_i * z_j, over all j, are the rows of
+        # zn . (sum_a zn[i][a] * tn_a) . zinv_n / (dz^2 * td * di).
+        zn, dz = linalg.scaled_integer_matrix(self.zbasis)
+        zinv_n, di = linalg.scaled_integer_matrix(self._zinv)
+        tn = algebra._tn
+        den = dz * dz * algebra._td * di
         self.products = []
         for i in range(4):
+            left = [
+                [sum(c * t for c, t in zip(zn[i], col)) for col in zip(*rows)]
+                for rows in zip(*tn)
+            ]
+            prod = linalg.mat_mul(linalg.mat_mul(zn, left), zinv_n)
             row = []
             for j in range(4):
-                prod = algebra.mul(self.zbasis[i], self.zbasis[j])
-                c = linalg.vec_mat(prod, self._zinv)
-                if not linalg.is_integral_vector(c):
-                    raise ClosureError(
-                        f"product of basis vectors {i} and {j} leaves the lattice"
-                    )
-                row.append([int(x) for x in c])
+                c = []
+                for x in prod[j]:
+                    q, r = divmod(x, den)
+                    if r:
+                        raise ClosureError(
+                            f"product of basis vectors {i} and {j} leaves the lattice"
+                        )
+                    c.append(q)
+                row.append(c)
             self.products.append(row)
 
     def coords_of(self, x):
@@ -410,39 +446,32 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
 # Discriminants
 
 
-def _fraction_sqrt(x: Fraction):
-    if x < 0:
-        return None
-    n, d = x.numerator, x.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 def lattice_disc(algebra: QuatAlgebra, zbasis) -> DiscValue:
     """Delta of a full-rank lattice: the square root of det(tr(g_i * g_j)).
 
     The sign is positive exactly when the algebra is a matrix algebra over
     the reals, i.e. when its norm form is indefinite.
     """
-    rows = [[Fraction(x) for x in row] for row in zbasis]
-    if len(rows) != 4 or linalg.mat_det(rows) == 0:
+    if len(zbasis) != 4:
         raise RankError("lattice must have full rank in the algebra")
-    tr = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(i, 4):
-            t = algebra.reduced_trace(algebra.mul(rows[i], rows[j]))
-            tr[i][j] = tr[j][i] = t
-    det = linalg.mat_det(tr)
-    root = _fraction_sqrt(-det)
-    if root is None:
-        raise InvariantViolation(f"trace-pairing determinant {det} is not minus a square")
+    zn, dz = linalg.scaled_integer_matrix(zbasis)
+    # tr(g_i * g_j) = (zn . T . zn^T)[i][j] / den with T = algebra._trace_n
+    tr = linalg.mat_mul(linalg.mat_mul(zn, algebra._trace_n), linalg.mat_transpose(zn))
+    den = 2 * algebra._td**2 * dz**2
+    det = int(linalg.mat_det(tr))
+    # det(tr) = det(zbasis)^2 * det(T), so only a zero det can hide a rank defect
+    if det == 0 and linalg.mat_det(zbasis) == 0:
+        raise RankError("lattice must have full rank in the algebra")
+    root = isqrt(-det) if det <= 0 else None
+    if root is None or root * root != -det:
+        raise InvariantViolation(
+            f"trace-pairing determinant {Fraction(det, den**4)} is not minus a square"
+        )
     pos, neg, zero = linalg.signature(algebra.norm_gram())
     if zero or (pos, neg) not in ((2, 2), (4, 0)):
         raise InvariantViolation("norm form signature is not that of a quaternion algebra")
     sign = 1 if (pos, neg) == (2, 2) else -1
-    return DiscValue(sign * root, LATTICE_SIGN_CONVENTION)
+    return DiscValue(sign * Fraction(root, den * den), LATTICE_SIGN_CONVENTION)
 
 
 def discr_relation_check(order: QuatOrder, emb: Embedding):

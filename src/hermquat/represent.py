@@ -440,7 +440,11 @@ def represents_one_integral(
             verdict=VERDICT_REPRESENTED,
             discriminant=delta,
         )
-    sf = all(e == 1 for e in factorint(int(delta.as_ideal)).values())
+    # Every prime of |Delta| is in local_prime_set and passed local_test's
+    # val_p(Delta) <= 1 check, so only a caller's own prime set needs factoring.
+    sf = not config.primes or all(
+        e == 1 for e in factorint(int(delta.as_ideal)).values()
+    )
     if defin == Definiteness.INDEFINITE and sf:
         logger.warning(
             "indefinite form with square-free |Delta| = %s exhausted the search "

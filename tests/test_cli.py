@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import hermquat
 from hermquat import HermSpace, Lattice, QuadField, jsonio
 from hermquat.cli import main
 from tests_fixtures import m2z_order
@@ -259,14 +262,21 @@ class TestVerify:
 
 class TestConsoleScript:
     def test_module_entry(self, tmp_path):
-        # one end-to-end subprocess run through the installed entry point
+        # one end-to-end subprocess run through the module entry point, on
+        # the package under test even where it is not installed
         form = jsonio.dumps(jsonio.herm_obj(HermSpace(F7, 1, -1, F7.zero())))
         path = tmp_path / "form.json"
         path.write_text(form)
+        package_root = str(Path(hermquat.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
         proc = subprocess.run(
             [sys.executable, "-m", "hermquat.cli", "analyze", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["discriminant"]["value"] == "7"

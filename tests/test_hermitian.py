@@ -31,11 +31,10 @@ from hermquat.errors import (
 )
 from hermquat import linalg
 from hermquat.hermitian import gram_on_basis
+from tests_fixtures import CLOSED_FORM_FIELDS, random_b_stable_pairs
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
-# odd and even field discriminants
-CLOSED_FORM_FIELDS = (-1, -2, -3, -5, -7, -11, -15, -19)
 
 
 def random_space(rng, field, height=4):
@@ -363,29 +362,12 @@ class TestDefiniteness:
                 assert space.definiteness() is expected
 
 
-def _random_b_stable_pairs(seed, count):
-    """Forms with gamma in the inverse different on random B-stable lattices."""
-    from hermquat.verify import random_b_stable_lattice
-
-    rng = random.Random(seed)
-    for k in range(count):
-        field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
-        lattice = random_b_stable_lattice(rng, field)
-        space = HermSpace(
-            field,
-            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))),
-            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))),
-            field.elem(rng.randint(-4, 4), rng.randint(-4, 4)) * field.inverse_sqrt_d(),
-        )
-        yield space, lattice
-
-
 class TestIntegralForm:
     def test_invariants_match_reference_paths(self):
         # Delta against the free-pair path, definiteness against the
         # signature of gram4, the Gram against h- and b-values
         integral = 0
-        for space, lattice in _random_b_stable_pairs(14, 320):
+        for space, lattice in random_b_stable_pairs(14, 320):
             if not space.is_nondegenerate() or not is_integral(space, lattice):
                 continue
             integral += 1
@@ -402,7 +384,7 @@ class TestIntegralForm:
 
     def test_rejects_what_is_integral_rejects(self):
         rejected = 0
-        for space, lattice in _random_b_stable_pairs(15, 320):
+        for space, lattice in random_b_stable_pairs(15, 320):
             if not space.is_nondegenerate():
                 continue
             if is_integral(space, lattice):

@@ -9,6 +9,7 @@ from hermquat import (
     Lattice,
     QuadField,
     QuatAlgebra,
+    QuatOrder,
     algebra_table,
     build_algebra,
     build_order,
@@ -16,6 +17,8 @@ from hermquat import (
     det_form,
     discr_relation_check,
     discriminant_form,
+    global_search,
+    is_integral,
     is_optimal,
     lattice_disc,
     line_lattice_intersection,
@@ -25,18 +28,26 @@ from hermquat import (
     vec_scale,
     vec_sub,
 )
-from hermquat import linalg
+from hermquat import jsonio, linalg
 from hermquat.errors import (
+    ClosureError,
     DegenerateFormError,
     InputError,
     MembershipError,
+    RankError,
 )
+from hermquat.verify import random_pointed_space
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
 
 
-from tests_fixtures import hurwitz_order, m2z_order
+from tests_fixtures import (
+    CLOSED_FORM_FIELDS,
+    hurwitz_order,
+    m2z_order,
+    random_b_stable_pairs,
+)
 
 
 def std_basis():
@@ -226,6 +237,162 @@ class TestBuildOrder:
         std = Lattice.standard(F7)
         with pytest.raises(MembershipError):
             build_order(space, std, vec(F7, Fraction(1, 2), 0))
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the Fraction reference
+
+
+def _built_orders(seed, count):
+    """Orders built from integral pointed lattices over the eight fields."""
+    for space, lattice in random_b_stable_pairs(seed, count):
+        if not space.is_nondegenerate() or not is_integral(space, lattice):
+            continue
+        point = global_search(space, lattice, 2)
+        if point is not None:
+            yield build_order(space, lattice, point)[0]
+
+
+def _random_unimodular(rng):
+    u = linalg.int_identity(4)
+    for _ in range(6):
+        i, j = rng.sample(range(4), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _random_invertible(rng):
+    while True:
+        m = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(4)]
+             for _ in range(4)]
+        if linalg.mat_det(m) != 0:
+            return m
+
+
+def _reparsed(rng, order):
+    """The order through parse_order, in random bases of the algebra and of Z^4.
+
+    With e'_i = sum_k m[i][k] e_k the products e'_i e'_j are the rows of
+    m . L_i . m^-1, where row l of L_i is e'_i e_l in old coordinates.
+    """
+    alg = order.algebra
+    m = _random_invertible(rng)
+    m_inv = linalg.mat_inverse(m)
+    table = []
+    for i in range(4):
+        left = [linalg.vec_mat(m[i], [alg.table[k][l] for k in range(4)]) for l in range(4)]
+        table.append(linalg.mat_mul(linalg.mat_mul(m, left), m_inv))
+    u = _random_unimodular(rng)
+    obj = {
+        "d": alg.field.d,
+        "mult_table": [[[jsonio.rat_str(x) for x in e] for e in row] for row in table],
+        "zbasis": [[jsonio.rat_str(x) for x in row]
+                   for row in linalg.mat_mul(linalg.mat_mul(u, order.zbasis), m_inv)],
+        "one": [jsonio.rat_str(x)
+                for x in linalg.vec_mat(order.one_coords, linalg.mat_inverse(u))],
+    }
+    parsed, _ = jsonio.parse_order(obj)
+    assert parsed.algebra.theta is None
+    return parsed
+
+
+def _reference_products(alg, zbasis):
+    zinv = linalg.mat_inverse(zbasis)
+    return [[linalg.vec_mat(alg.mul(zbasis[i], zbasis[j]), zinv) for j in range(4)]
+            for i in range(4)]
+
+
+def _reference_trace_det(alg, rows):
+    tr = [[alg.reduced_trace(alg.mul(x, y)) for y in rows] for x in rows]
+    return linalg.mat_det(tr)
+
+
+class TestIntegerKernel:
+    def test_products_match_fraction_reference(self):
+        rng = random.Random(41)
+        built = 0
+        for order in _built_orders(42, 160):
+            built += 1
+            for o in (order, _reparsed(rng, order)):
+                assert o.products == _reference_products(o.algebra, o.zbasis)
+                assert all(type(c) is int for row in o.products for p in row for c in p)
+        assert built >= 30
+        for order, _ in (m2z_order(), hurwitz_order()):
+            for o in (order, _reparsed(rng, order), _reparsed(rng, order)):
+                assert o.products == _reference_products(o.algebra, o.zbasis)
+
+    def test_not_closed_fails_at_reference_pair(self):
+        # lattices that contain 1: the first non-integral reference product
+        # names the pair in the ClosureError
+        rng = random.Random(43)
+        failed = 0
+        for k in range(40):
+            field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
+            # an integral theta makes B + B.u an order to reparse
+            alg = QuatAlgebra.canonical(field, rng.choice((-5, -3, 2, 7)))
+            if k % 2:
+                alg = _reparsed(rng, QuatOrder(alg, linalg.int_identity(4))).algebra
+            while True:
+                rows = [alg.one] + [
+                    [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(4)]
+                    for _ in range(3)
+                ]
+                if linalg.mat_det(rows) != 0:
+                    break
+            zbasis = linalg.mat_mul(_random_unimodular(rng), rows)
+            ref = _reference_products(alg, zbasis)
+            bad = next(
+                ((i, j) for i in range(4) for j in range(4)
+                 if not linalg.is_integral_vector(ref[i][j])),
+                None,
+            )
+            if bad is None:
+                QuatOrder(alg, zbasis)
+                continue
+            failed += 1
+            with pytest.raises(ClosureError) as exc:
+                QuatOrder(alg, zbasis)
+            assert str(exc.value) == (
+                f"product of basis vectors {bad[0]} and {bad[1]} leaves the lattice"
+            )
+        assert failed >= 30
+
+    def test_lattice_disc_matches_trace_pairing(self):
+        rng = random.Random(44)
+        algebras = [QuatAlgebra.canonical(QuadField(d), Fraction(rng.choice((-7, -2, 3, 5)), rng.choice((1, 2))))
+                    for d in CLOSED_FORM_FIELDS]
+        algebras += [m2z_order()[0].algebra, hurwitz_order()[0].algebra]
+        algebras += [
+            _reparsed(rng, QuatOrder(QuatAlgebra.canonical(QuadField(d), theta),
+                                     linalg.int_identity(4))).algebra
+            for d, theta in ((-1, 3), (-3, 2), (-7, -5), (-15, -1))
+        ]
+        for alg in algebras:
+            for _ in range(5):
+                rows = _random_invertible(rng)
+                dv = lattice_disc(alg, rows)
+                assert dv.value**2 == -_reference_trace_det(alg, rows)
+                assert dv == lattice_disc(alg, linalg.mat_mul(_random_unimodular(rng), rows))
+
+    def test_rank_errors_kept(self):
+        alg = QuatAlgebra.canonical(F7, 3)
+        rows = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0]]
+        with pytest.raises(RankError, match="order basis must be 4 independent vectors"):
+            QuatOrder(alg, rows)
+        with pytest.raises(RankError, match="lattice must have full rank"):
+            lattice_disc(alg, rows)
+
+    def test_closed_form_frame_inverse(self):
+        rng = random.Random(45)
+        for k in range(24):
+            field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
+            space, point = random_pointed_space(rng, field)
+            alg = build_algebra(space, point)
+            assert linalg.mat_mul(alg.frame, alg._frame_inv) == linalg.identity_matrix(4)
+            for _ in range(5):
+                x = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(4)]
+                assert alg.from_space(alg.to_space(x)) == x
 
 
 class TestRoundTrips:

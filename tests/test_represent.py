@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -26,10 +27,12 @@ from hermquat.errors import (
     UnsupportedRamificationError,
 )
 from hermquat.hermitian import gram_on_basis
+from hermquat import represent
 from hermquat.represent import (
     METHOD_DIRECT_HENSEL,
     METHOD_RAMIFIED_DIAGONAL,
     METHOD_UNRAMIFIED_UNIT,
+    RepresentConfig,
 )
 
 F7 = QuadField(-7)
@@ -379,6 +382,40 @@ class TestPipeline:
         report = represents_one_integral(space, Lattice.standard(F3))
         assert report.verdict == VERDICT_SEARCH_EXHAUSTED
         assert all(r.solvable for r in report.locals)
+
+    # 3 n(x) - 10007 n(y) over d = -7: indefinite, |Delta| = 3*7*10007 is
+    # square-free and locally solvable everywhere, but no witness lies in
+    # the box of height 2
+    EXHAUSTED7 = HermSpace(F7, 3, -10007, F7.zero())
+    OWN_PRIMES = (2, 3, 7, 10007)
+
+    def test_exhausted_indefinite_factors_delta_once(self, monkeypatch):
+        calls = []
+        real = represent.factorint
+        monkeypatch.setattr(represent, "factorint", lambda n: calls.append(n) or real(n))
+        report = represents_one_integral(
+            self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2)
+        )
+        assert report.verdict == VERDICT_SEARCH_EXHAUSTED
+        # only local_prime_set factors, 2*|D|*|Delta|: the local tests at its
+        # primes already proved |Delta| square-free
+        assert calls == [2 * 7 * 210147]
+        calls.clear()
+        report = represents_one_integral(
+            self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2, primes=self.OWN_PRIMES)
+        )
+        assert report.verdict == VERDICT_SEARCH_EXHAUSTED
+        # a caller's prime set proves nothing about |Delta|, so it is factored
+        assert calls == [210147]
+
+    def test_exhausted_indefinite_warns(self, caplog):
+        for primes in (None, self.OWN_PRIMES):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hermquat.represent"):
+                represents_one_integral(
+                    self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2, primes=primes)
+                )
+            assert "a witness is guaranteed to exist" in caplog.text
 
     def test_even_discriminant_rejected(self):
         space = HermSpace(F2, 1, -1, F2.zero())

@@ -1,11 +1,38 @@
-"""Shared concrete fixtures: M2(Z) and the Hurwitz order, both over d = -3."""
+"""Shared fixtures: M2(Z) and the Hurwitz order, both over d = -3, and
+random forms on random B-stable lattices."""
 
+import random
 from fractions import Fraction
 
-from hermquat import Embedding, QuadField, QuatAlgebra, QuatOrder, order_to_pointed
+from hermquat import (
+    Embedding,
+    HermSpace,
+    QuadField,
+    QuatAlgebra,
+    QuatOrder,
+    order_to_pointed,
+)
 from hermquat import linalg
+from hermquat.verify import random_b_stable_lattice
 
 F3 = QuadField(-3)
+# odd and even field discriminants
+CLOSED_FORM_FIELDS = (-1, -2, -3, -5, -7, -11, -15, -19)
+
+
+def random_b_stable_pairs(seed, count):
+    """Forms with gamma in the inverse different on random B-stable lattices."""
+    rng = random.Random(seed)
+    for k in range(count):
+        field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
+        lattice = random_b_stable_lattice(rng, field)
+        space = HermSpace(
+            field,
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))),
+            Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2))),
+            field.elem(rng.randint(-4, 4), rng.randint(-4, 4)) * field.inverse_sqrt_d(),
+        )
+        yield space, lattice
 
 
 def matrix_units_table():
