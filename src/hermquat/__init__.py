@@ -44,7 +44,7 @@ from .hermitian import (
     vec_scale,
     vec_sub,
 )
-from .qfield import QElem, QuadField, SplitType, ramified_uniformizer, splitting
+from .qfield import QElem, QuadField, SplitType, splitting
 from .quaternion import (
     Embedding,
     Isometry,
@@ -79,5 +79,3 @@ from .represent import (
 from .sweep import SweepRow, run_sweep, surviving_forms
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,7 @@ import io
 import sys
 
 from . import jsonio, verify
-from .errors import Error, InputError, InvariantViolation
+from .errors import Error, InputError, InvariantViolation, NotIntegralError
 from .hermitian import det_form, discriminant_form, is_integral
 from .qfield import QuadField
 from .quaternion import build_order, is_optimal, order_to_pointed
@@ -134,10 +134,12 @@ def cmd_from_order(args) -> int:
     out = jsonio.form_obj(pointed.space, pointed.lattice, pointed.point)
     out["optimal"] = is_optimal(emb)
     out["order_discriminant"] = jsonio.disc_obj(order.discriminant())
-    if is_integral(pointed.space, pointed.lattice):
+    try:
         out["discriminant"] = jsonio.disc_obj(
             discriminant_form(pointed.space, pointed.lattice)
         )
+    except NotIntegralError:
+        pass
     _render(out, args.format, args.out)
     return EXIT_OK
 

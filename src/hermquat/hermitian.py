@@ -344,7 +344,7 @@ def polarize_independence_check(h_gram, field: QuadField, l_samples) -> bool:
 class Lattice:
     """A rank-4 Z-lattice in L^2 that is a module over the ring of integers."""
 
-    __slots__ = ("field", "basis", "_rows", "_scaled_rows", "_inv", "omega_action")
+    __slots__ = ("field", "basis", "_rows", "_scaled_rows", "_inv")
 
     def __init__(self, field: QuadField, basis):
         basis = tuple(basis)
@@ -362,14 +362,10 @@ class Lattice:
         self._scaled_rows = linalg.scaled_integer_matrix(rows)
         self._inv = linalg.mat_inverse(rows)
         w = field.omega()
-        action = []
         for v in basis:
             c = linalg.vec_mat(vec_coords(vec_scale(w, v)), self._inv)
             if not linalg.is_integral_vector(c):
                 raise BStabilityError("lattice is not stable under omega")
-            action.append([int(x) for x in c])
-        # integer matrix of multiplication by omega: the B-stability certificate
-        self.omega_action = action
 
     @classmethod
     def standard(cls, field: QuadField) -> "Lattice":
@@ -395,7 +391,8 @@ class Lattice:
         return [int(x) for x in c]
 
     def from_integer_coords(self, c) -> Vector:
-        x = linalg.vec_mat([Fraction(t) for t in c], self._rows)
+        rows, den = self._scaled_rows
+        x = [Fraction(sum(t * r[j] for t, r in zip(c, rows)), den) for j in range(4)]
         return vec_from_coords(self.field, x)
 
     def index_of_sublattice(self, sub: "Lattice") -> Fraction:

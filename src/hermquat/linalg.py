@@ -40,11 +40,6 @@ def vec_mat(v, m):
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols)]
 
 
-def mat_col(m, v):
-    """Matrix times a column vector, returned as a flat list."""
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in m]
-
-
 def mat_eq(a, b):
     return len(a) == len(b) and all(
         len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
@@ -257,49 +252,13 @@ def valuation(x, p: int):
     return vint(abs(x.numerator)) - vint(x.denominator)
 
 
-def _pivot_index(a, k, prime):
-    """Pivot for column k of the congruence reduction.
-
-    Returns (index, fix) where fix is either None or a pair (i, j) meaning
-    "add basis vector j to basis vector i first".  With a prime supplied the
-    pivot has minimal p-adic valuation over the remaining block, which for
-    odd p keeps the transformation p-integral.
-    """
-    n = len(a)
-    diag = [(i, a[i][i]) for i in range(k, n) if a[i][i]]
-    off = [
-        (i, j, a[i][j])
-        for i in range(k, n)
-        for j in range(i + 1, n)
-        if a[i][j]
-    ]
-    if prime is None:
-        if diag:
-            return diag[0][0], None
-        if off:
-            i, j, _ = off[0]
-            return i, (i, j)
-        return None, None
-    if not diag and not off:
-        return None, None
-    dbest = min(diag, key=lambda t: valuation(t[1], prime)) if diag else None
-    obest = min(off, key=lambda t: valuation(t[2], prime)) if off else None
-    if dbest is not None and (
-        obest is None or valuation(dbest[1], prime) <= valuation(obest[2], prime)
-    ):
-        return dbest[0], None
-    i, j, _ = obest
-    return i, (i, j)
-
-
-def congruence_diagonalize(sym, prime: int | None = None):
+def congruence_diagonalize(sym):
     """Diagonalize a symmetric rational matrix by congruence.
 
-    Returns (D, P) with P invertible and P^T.S.P == D exactly.  When an odd
-    prime is supplied, pivots are chosen with minimal p-adic valuation over
-    the whole remaining block, so that for a p-integral input P is
-    p-integral with p-unit determinant (the p-adic Jordan data can be read
-    off the diagonal).
+    Returns (D, P) with P invertible and P^T.S.P == D exactly.  The pivot is
+    the first non-zero diagonal entry of the remaining block; failing that,
+    the first non-zero off-diagonal entry (i, j) first adds basis vector j
+    to basis vector i.
     """
     n = len(sym)
     a = [[Fraction(x) for x in row] for row in sym]
@@ -326,11 +285,16 @@ def congruence_diagonalize(sym, prime: int | None = None):
             row[j], row[k] = row[k], row[j]
 
     for k in range(n):
-        idx, fix = _pivot_index(a, k, prime)
+        idx = next((i for i in range(k, n) if a[i][i]), None)
         if idx is None:
-            break
-        if fix is not None:
-            col_addmul(fix[0], fix[1], Fraction(1))
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            col_addmul(pair[0], pair[1], Fraction(1))
+            idx = pair[0]
         if idx != k:
             col_swap(idx, k)
         d = a[k][k]

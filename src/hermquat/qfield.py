@@ -13,7 +13,7 @@ from numbers import Rational
 
 from sympy import factorint, isprime
 
-from .errors import InputError, UnsupportedRamificationError
+from .errors import InputError
 
 
 class SplitType(Enum):
@@ -163,18 +163,6 @@ class QElem:
             return NotImplemented
         return o / self
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Rational)):
             return self.b == 0 and self.a == other
@@ -240,18 +228,3 @@ def splitting(field: QuadField, p: int) -> SplitType:
     ls = pow(D % p, (p - 1) // 2, p)
     return SplitType.SPLIT if ls == 1 else SplitType.INERT
 
-
-def ramified_uniformizer(field: QuadField, p: int) -> tuple[QElem, int]:
-    """A trace-zero local uniformizer at an odd ramified prime.
-
-    Returns (pi, u0) with pi = sqrt(d), conj(pi) = -pi and pi*conj(pi) =
-    p*u0.  The unit u0 = -d/p must be carried by callers; the product of pi
-    with its conjugate is p only up to that unit.
-    """
-    if not isprime(p):
-        raise InputError(f"{p} is not prime")
-    if p == 2:
-        raise UnsupportedRamificationError("2-adically ramified case is unsupported")
-    if field.D % p != 0:
-        raise InputError(f"{p} is not ramified in Q(sqrt({field.d}))")
-    return field.sqrt_d(), -field.d // p

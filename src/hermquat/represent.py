@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from sympy import factorint, isprime
 
@@ -30,10 +30,11 @@ from .hermitian import (
     IntegralForm,
     Lattice,
     Vector,
+    space_basis,
     vec_add,
     vec_scale,
 )
-from .qfield import QuadField
+from .qfield import QuadField, SplitType, splitting
 
 logger = logging.getLogger(__name__)
 
@@ -125,16 +126,15 @@ def represents_one_rational(space: HermSpace):
     if space.definiteness() == Definiteness.NEGATIVE_DEFINITE:
         return False, None
     field = space.field
-    from .hermitian import space_basis
-
     basis = space_basis(field)
     gram = space.gram4()
     for k in range(1, 5):
-        target = Fraction(k * k)
-        hit = _box_first(gram, 4, target)
-        if hit is not None:
-            v = _combine(field, basis, hit)
-            return True, vec_scale(Fraction(1, k), v)
+        target = k * k
+        for h in range(0, 5):
+            for c in _shell_vectors(h, (4,) * 4):
+                if linalg.evaluate_quadratic(gram, c) == target:
+                    v = _combine(field, basis, c)
+                    return True, vec_scale(Fraction(1, k), v)
     return True, None
 
 
@@ -144,14 +144,6 @@ def _combine(field: QuadField, basis, coeffs) -> Vector:
         if c:
             out = vec_add(out, vec_scale(Fraction(c), g))
     return out
-
-
-def _box_first(gram, bound, target):
-    for h in range(0, bound + 1):
-        for c in _shell_vectors(h, (bound,) * 4):
-            if linalg.evaluate_quadratic(gram, c) == target:
-                return c
-    return None
 
 
 def _shell_vectors(height, clamps):
@@ -178,22 +170,29 @@ def _shell_vectors(height, clamps):
 # Local tests
 
 
-def _find_unit_value(form: IntegralForm, p: int):
-    """A lattice vector with h-value prime to p and that value, or None.
+def _unit_value(w, vecs, p: int):
+    """The first vector with h-value prime to p, as (slot, x, h(x)), or None.
 
-    Reads h(b_i) = w_ii / 2 and b(b_i, b_j) = w_ij off the record; None
-    means h(Lambda) lies in pZ.
+    Scans the coordinate vectors ``vecs`` on the lattice basis, then their
+    pairwise sums vecs[k] + vecs[j] with k < j in that order; a sum reports
+    slot k.  h(x) = x.w.x / 2 is returned exactly.  None means that h
+    vanishes mod p on the span of ``vecs``, since then every b-value does.
     """
-    b = form.lattice.basis
-    w = form.w
-    for i in range(4):
-        if (w[i][i] // 2) % p:
-            return b[i], w[i][i] // 2
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if w[i][j] % p:
-                return vec_add(b[i], b[j]), (w[i][i] + w[j][j]) // 2 + w[i][j]
+    for k, x in enumerate(vecs):
+        hx = _h_value(w, x)
+        if hx % p:
+            return k, x, hx
+    for k in range(len(vecs)):
+        for j in range(k + 1, len(vecs)):
+            x = [s + t for s, t in zip(vecs[k], vecs[j])]
+            hx = _h_value(w, x)
+            if hx % p:
+                return k, x, hx
     return None
+
+
+def _h_value(w, x) -> int:
+    return sum(x[i] * sum(w[i][j] * x[j] for j in range(4)) for i in range(4)) // 2
 
 
 def _norm_residue_scale(field: QuadField, target: int, modulus: int):
@@ -218,47 +217,45 @@ def _norm_residue_scale(field: QuadField, target: int, modulus: int):
     return None
 
 
-def _frac_mod(x: Fraction, m: int) -> int:
-    if gcd(x.denominator, m) != 1:
-        raise InvariantViolation(f"denominator of {x} not invertible mod {m}")
-    return x.numerator * pow(x.denominator, -1, m) % m
-
-
 def local_test(space: HermSpace, lattice: Lattice, p: int) -> LocalReport:
     """Solvability of h = 1 over the p-adic integers, with a certificate.
 
     Requires the form integral with val_p of the discriminant at most 1.
     Unramified p: a unit h-value is rescaled into 1 by a norm; its absence
     means h(Lambda) is divisible by p and the form is locally insolvable.
-    Ramified odd p: the quaternary form is diagonalized with p-adically
-    integral pivots and the two unit diagonal entries already represent 1.
+    Ramified odd p: a Gram-Schmidt over Z/p on the integer Gram 2G splits
+    off orthogonal vectors of unit h-value, 4 - 2*val_p(Delta) of them; the
+    first two, with h-values a1 and a2, carry a solution of
+    a1*x^2 + a2*y^2 = 1 mod p, which is the certificate.
     Ramified p = 2 is outside the supported theory.
     """
-    if not isprime(p):
-        raise InputError(f"{p} is not prime")
+    kind = splitting(space.field, p)
     form = space.integral_form(lattice)
-    field = space.field
-    if p == 2 and field.D % 2 == 0:
+    if p == 2 and kind is SplitType.RAMIFIED:
         raise UnsupportedRamificationError(
             "p = 2 ramifies (even field discriminant); unsupported"
         )
     n_delta = int(form.delta.as_ideal)
-    if linalg.valuation(n_delta, p) >= 2:
+    if n_delta % (p * p) == 0:
         raise HypothesisError(
             f"|Delta| = {n_delta} is not square-free at p = {p}", prime=p
         )
-    if field.D % p != 0:
-        return _local_unramified(form, p)
-    return _local_ramified(form, p, n_delta)
+    if kind is SplitType.RAMIFIED:
+        return _local_ramified(form, p, int(n_delta % p == 0))
+    return _local_unramified(form, p)
+
+
+_BASIS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 
 
 def _local_unramified(form: IntegralForm, p: int):
-    found = _find_unit_value(form, p)
+    found = _unit_value(form.w, _BASIS, p)
     if found is None:
         method = METHOD_DIRECT_HENSEL if p == 2 else METHOD_UNRAMIFIED_UNIT
         return LocalReport(p, False, method, None)
-    u, hval = found
-    field = form.lattice.field
+    _, u, hval = found
+    lattice = form.lattice
+    field = lattice.field
     if p == 2:
         modulus, k, t = 8, 3, 1
         method = METHOD_DIRECT_HENSEL
@@ -272,8 +269,8 @@ def _local_unramified(form: IntegralForm, p: int):
             f"norm map failed to reach {target} mod {modulus}; p = {p} unramified"
         )
     lam = field.elem(rs[0], rs[1])
-    x = vec_scale(lam, u)
-    coords = form.lattice.integer_coords(x)
+    x = vec_scale(lam, lattice.from_integer_coords(u))
+    coords = lattice.integer_coords(x)
     cert_vec = tuple(c % p**k for c in coords)
     cert = Certificate(cert_vec, k, t)
     if not hensel_liftable(form.gram, list(cert_vec), p, t):
@@ -281,28 +278,30 @@ def _local_unramified(form: IntegralForm, p: int):
     return LocalReport(p, True, method, cert)
 
 
-def _local_ramified(form: IntegralForm, p: int, n_delta: int):
-    if p == 2:
-        raise UnsupportedRamificationError("p = 2 ramified case is unsupported")
-    gram = form.gram
-    diag, trans = linalg.congruence_diagonalize(gram, prime=p)
-    for row in trans:
-        for x in row:
-            if linalg.valuation(x, p) < 0:
-                raise InvariantViolation("diagonalizing transform is not p-integral")
-    if linalg.valuation(linalg.mat_det(trans), p) != 0:
-        raise InvariantViolation("diagonalizing transform is not a p-adic unit")
-    vals = sorted(linalg.valuation(diag[i][i], p) for i in range(4))
-    v_delta = linalg.valuation(n_delta, p)
-    expected = [0, 0, 1, 1] if v_delta == 1 else [0, 0, 0, 0]
-    if vals != expected:
+def _local_ramified(form: IntegralForm, p: int, v_delta: int):
+    w = form.w
+    vecs = list(_BASIS)
+    units = []
+    while vecs:
+        found = _unit_value(w, vecs, p)
+        if found is None:
+            break
+        k, u, hu = found
+        units.append((u, hu % p))
+        # the pivot takes the first slot, whose vector moves to slot k
+        vecs[k] = vecs[0]
+        wu = [sum(w[i][j] * u[j] for j in range(4)) for i in range(4)]
+        inv = pow(2 * hu, -1, p)
+        rest = []
+        for v in vecs[1:]:
+            c = sum(s * t for s, t in zip(v, wu)) * inv
+            rest.append([(s - c * t) % p for s, t in zip(v, u)])
+        vecs = rest
+    if len(units) != 4 - 2 * v_delta:
         raise InvariantViolation(
-            f"p-adic diagonal shape {vals} contradicts val_p(Delta) = {v_delta}"
+            f"h has rank {len(units)} mod {p}, contradicting val_p(Delta) = {v_delta}"
         )
-    units = [i for i in range(4) if linalg.valuation(diag[i][i], p) == 0]
-    i0, i1 = units[0], units[1]
-    a1 = _frac_mod(diag[i0][i0], p)
-    a2 = _frac_mod(diag[i1][i1], p)
+    (u1, a1), (u2, a2) = units[0], units[1]
     sol = None
     inv_a2 = pow(a2, -1, p)
     for x0 in range(p):
@@ -315,12 +314,9 @@ def _local_ramified(form: IntegralForm, p: int, n_delta: int):
         raise InvariantViolation(
             f"two-unit binary form fails to represent 1 mod {p}"
         )
-    z = [Fraction(0)] * 4
-    z[i0], z[i1] = Fraction(sol[0]), Fraction(sol[1])
-    coords = linalg.mat_col(trans, z)
-    cert_vec = tuple(_frac_mod(c, p) for c in coords)
+    cert_vec = tuple((sol[0] * s + sol[1] * t) % p for s, t in zip(u1, u2))
     cert = Certificate(cert_vec, 1, 0)
-    if not hensel_liftable(gram, list(cert_vec), p, 0):
+    if not hensel_liftable(form.gram, list(cert_vec), p, 0):
         raise InvariantViolation(f"ramified certificate fails Hensel at p = {p}")
     return LocalReport(p, True, METHOD_RAMIFIED_DIAGONAL, cert)
 

@@ -11,6 +11,8 @@ import random
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
+from sympy import factorint
+
 from . import jsonio, linalg
 from .hermitian import (
     Definiteness,
@@ -19,6 +21,7 @@ from .hermitian import (
     discriminant_form,
     det_form,
     lattice_from_B_basis,
+    omega_matrix,
     polarize,
     polarize_independence_check,
     vec_add,
@@ -36,6 +39,7 @@ from .quaternion import (
 from .represent import (
     VERDICT_REPRESENTED,
     RepresentConfig,
+    _shell_vectors,
     global_search,
     represents_one_integral,
 )
@@ -106,8 +110,6 @@ def random_integral_pointed_lattice(rng, field, search_bound=30):
     """An integral indefinite square-free form on B^2 plus a found point."""
     lattice = Lattice.standard(field)
     inv_sqrt = field.inverse_sqrt_d()
-    from sympy import factorint
-
     while True:
         alpha = rng.randint(-3, 3)
         beta = rng.randint(-3, 3)
@@ -132,8 +134,6 @@ def random_b_stable_lattice(rng, field) -> Lattice:
     Draws integer coordinate rows, closes the span under omega (one round
     suffices since omega satisfies a monic quadratic), and rescales.
     """
-    from .hermitian import omega_matrix
-
     womega = [[int(x) for x in row] for row in omega_matrix(field)]
     while True:
         rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
@@ -276,8 +276,6 @@ def suite_order(seed=0, cases=50) -> SuiteResult:
 def _complete_b_basis(space, lattice, point, bound=3):
     """Search a w with B*point + B*w equal to the lattice (class number 1)."""
     for h in range(0, bound + 1):
-        from .represent import _shell_vectors
-
         for c in _shell_vectors(h, (bound,) * 4):
             w = lattice.from_integer_coords(c)
             if point[0] * w[1] - point[1] * w[0] == 0:
@@ -321,7 +319,6 @@ def suite_disc(seed=0, algebras=10, lattices_per=10) -> SuiteResult:
 
 def suite_represent(seed=0, fields=CLASS_NUMBER_ONE_FIELDS, height=2) -> SuiteResult:
     """The theorem at desk scale: indefinite square-free forms represent 1."""
-    rng = random.Random(seed)
     result = SuiteResult("represent")
     config = RepresentConfig(search_bound=50)
     for d in fields:
@@ -339,7 +336,6 @@ def suite_represent(seed=0, fields=CLASS_NUMBER_ONE_FIELDS, height=2) -> SuiteRe
             order, emb = build_order(space, lattice, report.witness)
             if order.discriminant().value != delta.value:
                 result.record(form=jsonio.herm_obj(space), error="discriminants differ")
-    _ = rng
     return result
 
 

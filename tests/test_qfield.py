@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hermquat import QuadField, SplitType, ramified_uniformizer, splitting
-from hermquat.errors import InputError, UnsupportedRamificationError
+from hermquat import QuadField, SplitType, splitting
+from hermquat.errors import InputError
 
 F7 = QuadField(-7)
 F2 = QuadField(-2)
@@ -119,23 +119,3 @@ class TestSplitting:
                 else:
                     assert kind is SplitType.INERT
         _ = rng
-
-
-class TestRamifiedUniformizer:
-    def test_frozen_values(self):
-        pi, u0 = ramified_uniformizer(F7, 7)
-        assert pi == F7.sqrt_d() and u0 == 1
-        assert pi.conj() == -pi
-        assert (pi * pi.conj()) == 7 * u0
-
-        pi, u0 = ramified_uniformizer(F15, 3)
-        assert u0 == 5 and pi * pi.conj() == 15
-
-        pi, u0 = ramified_uniformizer(F15, 5)
-        assert u0 == 3
-
-    def test_rejects_two_and_unramified(self):
-        with pytest.raises(UnsupportedRamificationError):
-            ramified_uniformizer(F2, 2)
-        with pytest.raises(InputError):
-            ramified_uniformizer(F7, 5)

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -19,11 +21,15 @@ from hermquat import (
     local_test,
     represents_one_integral,
     represents_one_rational,
+    surviving_forms,
     vec,
 )
 from hermquat.errors import (
+    DegenerateFormError,
     HypothesisError,
     InputError,
+    InvariantViolation,
+    NotIntegralError,
     UnsupportedRamificationError,
 )
 from hermquat.hermitian import gram_on_basis
@@ -34,6 +40,7 @@ from hermquat.represent import (
     METHOD_UNRAMIFIED_UNIT,
     RepresentConfig,
 )
+from tests_fixtures import random_b_stable_pairs
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
@@ -189,8 +196,6 @@ class TestLocal:
     def test_ramified_against_exhaustive_oracle(self):
         # independent oracle: exhaustive search of all residue vectors mod p
         # for h(x) = 1 mod p with a unit gradient coordinate
-        import itertools
-
         rng = random.Random(53)
         cases = 0
         while cases < 6:
@@ -257,6 +262,123 @@ class TestLocal:
         assert not report.solvable and report.certificate is None
         with pytest.raises(HypothesisError):
             local_test(space, std3, 2)
+
+
+def _report_line(report) -> bytes:
+    cert = report.certificate
+    if cert is not None:
+        cert = (cert.vector, cert.modulus_exponent, cert.hensel_t)
+    return (repr((report.prime, report.solvable, report.method, cert)) + "\n").encode()
+
+
+class TestRamifiedCertificates:
+    """SHA-256 of (prime, solvable, method, certificate) of the local test at
+    odd ramified primes.  The digests were taken from the earlier p-adic
+    Fraction diagonalization (congruence diagonalization with pivots of least
+    p-adic valuation); the Gram-Schmidt over Z/p must give the same reports."""
+
+    SWEEP = "9ac858068797a653e912243f40f386a309ac9dfbe179f8fa67ffc199305b3ced"
+    RANDOM = "8a3dfd206d431a89ecc4d1885de01dc26e976d45fd926fd756b4b1c27f53d0a6"
+    LATER_SLOT = "b6354c7826d39ee07cdf901bdb5284d066744c04185f68744b58a7fec2d37a86"
+
+    def test_sweep_forms_at_their_ramified_prime(self):
+        digest = hashlib.sha256()
+        count = 0
+        for d, p in ((-3, 3), (-7, 7)):
+            for *_, space, lattice, _ in surviving_forms(QuadField(d), 2):
+                digest.update(_report_line(local_test(space, lattice, p)))
+                count += 1
+        assert (count, digest.hexdigest()) == (762, self.SWEEP)
+
+    def test_random_b_stable_lattices(self):
+        # every odd ramified (field, p) of CLOSED_FORM_FIELDS; 17 of the 366
+        # cases raise HypothesisError
+        digest = hashlib.sha256()
+        count = 0
+        for space, lattice in random_b_stable_pairs(7, 1200):
+            for p in (3, 5, 7, 11, 19):
+                if space.field.D % p:
+                    continue
+                try:
+                    space.integral_form(lattice)
+                except (NotIntegralError, DegenerateFormError):
+                    continue
+                try:
+                    line = _report_line(local_test(space, lattice, p))
+                except HypothesisError:
+                    line = b"HypothesisError\n"
+                digest.update(line)
+                count += 1
+        assert (count, digest.hexdigest()) == (366, self.RANDOM)
+
+    # (d, alpha, beta, (m, n), U): gamma = (m + n*omega)/sqrt(d) and the rows
+    # of U are the lattice coordinates of a basis of B^2 whose first vector
+    # lies in the radical of h mod p and whose h-values are all divisible by
+    # p, so the first pivot is a pair sum v_k + v_j with k >= 1, which swaps
+    # v_0 into slot k.  Found by a seeded random walk over unimodular U.
+    LATER_SLOT_CASES = (
+        (-3, -2, -1, (0, 0), ((2, -1, -1, -1), (0, 1, 0, 1), (-1, 0, 1, 0), (-1, 0, 0, 1))),
+        (-3, -2, 0, (-2, 1), ((1, -2, 1, -2), (0, 0, 1, 0), (0, -1, 1, -1), (1, 2, -2, 3))),
+        (-3, -2, 0, (-1, -1), ((1, -2, 1, 1), (0, 3, -1, -3), (0, -2, 1, 2), (1, 1, 0, -1))),
+        (-3, -2, 0, (-1, 2), ((3, 0, 1, -2), (1, 1, 0, 0), (2, 0, 1, -1), (0, 0, 0, 1))),
+        (-3, -2, 0, (1, -2), ((1, 1, 0, 0), (-1, 0, 1, 0), (-4, -1, 4, 0), (0, 0, 0, 1))),
+        (-3, -2, 0, (1, 1), ((2, -1, -1, -1), (-1, 0, -1, 1), (0, 0, 1, 0), (-2, -1, 0, 2))),
+        (-7, -2, 0, (1, -2), ((1, -2, 0, 0), (1, -2, 1, -1), (0, -2, 1, 0), (-1, 1, 0, 1))),
+        (-7, -1, 0, (-1, 2), ((1, -2, -4, 1), (0, 1, 2, 0), (0, 0, 1, 0), (1, -2, -5, 2))),
+        (-7, -1, 2, (0, 0), ((1, -2, 1, -2), (-1, 1, -1, 0), (0, -3, 1, -3), (1, 0, 1, 1))),
+        (-7, 0, -2, (1, -2), ((-1, 2, 1, -2), (-1, 1, 0, 0), (-1, 1, 1, -1), (1, -1, -1, 2))),
+        (-7, 0, -1, (-1, 2), ((1, -2, 1, -2), (-1, 1, 0, 0), (-1, -1, 1, -1), (-1, 4, -2, 4))),
+        (-7, 0, 0, (-1, 2), ((1, -2, 0, 0), (-1, 3, -1, 2), (1, -2, 1, 0), (-1, 2, 0, 1))),
+    )
+
+    def test_pair_pivot_in_a_later_slot(self):
+        digest = hashlib.sha256()
+        for d, alpha, beta, (m, n), rows in self.LATER_SLOT_CASES:
+            field = QuadField(d)
+            p = 3 if d == -3 else 7
+            space = HermSpace(field, alpha, beta, field.elem(m, n) * field.inverse_sqrt_d())
+            std = Lattice.standard(field)
+            lattice = Lattice(field, [std.from_integer_coords(r) for r in rows])
+            w = space.integral_form(lattice).w
+            assert all(x % p == 0 for x in w[0])
+            assert all(w[i][i] // 2 % p == 0 for i in range(4))
+            digest.update(_report_line(local_test(space, lattice, p)))
+        assert digest.hexdigest() == self.LATER_SLOT
+
+    def test_rank_contradicting_the_discriminant_is_a_violation(self):
+        from hermquat.represent import _local_ramified
+
+        # Delta = 7: h has rank 2 mod 7
+        with pytest.raises(InvariantViolation, match="rank 2 mod 7"):
+            _local_ramified(IntegralForm(SPLIT7, STD7), 7, 0)
+        # Delta = 8: h has rank 4 mod 7
+        unit = HermSpace(F7, 1, -1, F7.inverse_sqrt_d())
+        with pytest.raises(InvariantViolation, match="rank 4 mod 7"):
+            _local_ramified(IntegralForm(unit, STD7), 7, 1)
+
+    def test_unit_value_is_none_exactly_when_h_vanishes_mod_p(self):
+        from hermquat.represent import _BASIS, _unit_value
+
+        def h(w, x):
+            return sum(x[i] * w[i][j] * x[j] for i in range(4) for j in range(4)) // 2
+
+        rng = random.Random(17)
+        for p in (2, 3, 5):
+            for _ in range(40):
+                # entries mostly divisible by p, so that few b-values are units
+                w = [[0] * 4 for _ in range(4)]
+                for i in range(4):
+                    w[i][i] = 2 * rng.choice((0, p, p, 1))
+                    for j in range(i + 1, 4):
+                        w[i][j] = w[j][i] = rng.choice((0, p, -p, p, 1, -1))
+                found = _unit_value(w, _BASIS, p)
+                vanishes = all(
+                    h(w, x) % p == 0 for x in itertools.product(range(p), repeat=4)
+                )
+                assert (found is None) == vanishes
+                if found is not None:
+                    _, x, hx = found
+                    assert hx == h(w, x) and hx % p
 
 
 class TestNormResidueScale:
