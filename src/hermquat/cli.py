@@ -156,39 +156,22 @@ def cmd_represent_one(args) -> int:
     return EXIT_EXHAUSTED
 
 
+def _csv_cell(value):
+    if isinstance(value, bool):
+        return str(value).lower()
+    return "" if value is None else value
+
+
 def _csv_rows(rows):
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "alpha",
-            "beta",
-            "gamma",
-            "Delta",
-            "definiteness",
-            "verdict",
-            "witness",
-            "order_disc",
-            "discs_equal",
-        ]
-    )
+    writer.writerow(jsonio.SWEEP_COLUMNS)
     for row in rows:
-        witness = ""
+        obj = jsonio.sweep_row_obj(row)
+        obj["gamma"] = str(row.gamma)
         if row.report.witness is not None:
-            witness = f"({row.report.witness[0]}, {row.report.witness[1]})"
-        writer.writerow(
-            [
-                row.alpha,
-                row.beta,
-                str(row.gamma),
-                jsonio.rat_str(row.delta.value),
-                row.definiteness.value,
-                row.report.verdict,
-                witness,
-                jsonio.rat_str(row.order_disc.value) if row.order_disc else "",
-                "" if row.discs_equal is None else str(row.discs_equal).lower(),
-            ]
-        )
+            obj["witness"] = "({}, {})".format(*row.report.witness)
+        writer.writerow([_csv_cell(obj[key]) for key in jsonio.SWEEP_COLUMNS])
     return buf.getvalue()
 
 
@@ -197,26 +180,7 @@ def cmd_sweep(args) -> int:
     config = RepresentConfig(search_bound=args.search_bound)
     rows = run_sweep(field, args.height, config, target_disc=args.target_disc)
     if args.format == "json":
-        payload = []
-        for row in rows:
-            payload.append(
-                {
-                    "alpha": row.alpha,
-                    "beta": row.beta,
-                    "gamma": jsonio.qelem_obj(row.gamma),
-                    "Delta": jsonio.rat_str(row.delta.value),
-                    "definiteness": row.definiteness.value,
-                    "verdict": row.report.verdict,
-                    "witness": jsonio.vector_obj(row.report.witness)
-                    if row.report.witness
-                    else None,
-                    "order_disc": jsonio.rat_str(row.order_disc.value)
-                    if row.order_disc
-                    else None,
-                    "discs_equal": row.discs_equal,
-                }
-            )
-        _emit(jsonio.dumps(payload), args.out)
+        _emit(jsonio.dumps([jsonio.sweep_row_obj(row) for row in rows]), args.out)
     else:
         _emit(_csv_rows(rows), args.out)
     return EXIT_OK

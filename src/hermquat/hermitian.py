@@ -344,7 +344,7 @@ def polarize_independence_check(h_gram, field: QuadField, l_samples) -> bool:
 class Lattice:
     """A rank-4 Z-lattice in L^2 that is a module over the ring of integers."""
 
-    __slots__ = ("field", "basis", "_rows", "_scaled_rows", "_inv")
+    __slots__ = ("field", "basis", "_rows", "_scaled_rows", "_inv", "_omega")
 
     def __init__(self, field: QuadField, basis):
         basis = tuple(basis)
@@ -362,10 +362,10 @@ class Lattice:
         self._scaled_rows = linalg.scaled_integer_matrix(rows)
         self._inv = linalg.mat_inverse(rows)
         w = field.omega()
-        for v in basis:
-            c = linalg.vec_mat(vec_coords(vec_scale(w, v)), self._inv)
-            if not linalg.is_integral_vector(c):
-                raise BStabilityError("lattice is not stable under omega")
+        omega = [linalg.vec_mat(vec_coords(vec_scale(w, v)), self._inv) for v in basis]
+        if not linalg.is_integral_matrix(omega):
+            raise BStabilityError("lattice is not stable under omega")
+        self._omega = [[x.numerator for x in row] for row in omega]
 
     @classmethod
     def standard(cls, field: QuadField) -> "Lattice":
@@ -381,14 +381,12 @@ class Lattice:
     def coords_of(self, v: Vector):
         return linalg.vec_mat(vec_coords(v), self._inv)
 
+    def omega_rows(self):
+        """Integer matrix of omega on the basis: omega*b_i = sum_j O[i][j]*b_j."""
+        return self._omega
+
     def contains(self, v: Vector) -> bool:
         return linalg.is_integral_vector(self.coords_of(v))
-
-    def integer_coords(self, v: Vector):
-        c = self.coords_of(v)
-        if not linalg.is_integral_vector(c):
-            raise MembershipError("vector does not lie in the lattice")
-        return [int(x) for x in c]
 
     def from_integer_coords(self, c) -> Vector:
         rows, den = self._scaled_rows
@@ -535,8 +533,3 @@ class IntegralForm:
         self.definiteness = space.definiteness()
         sign = 1 if self.definiteness is Definiteness.INDEFINITE else -1
         self.delta = DiscValue(Fraction(sign * root), FORM_SIGN_CONVENTION)
-
-    @property
-    def gram(self):
-        """G = w / 2, built on each call to keep the stored record small."""
-        return [[Fraction(x, 2) for x in row] for row in self.w]

@@ -10,11 +10,13 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from . import linalg
 from .errors import InputError
 from .hermitian import DiscValue, HermSpace, Lattice, Vector
 from .qfield import QElem, QuadField
 from .quaternion import Embedding, QuatAlgebra, QuatOrder
 from .represent import Certificate, LocalReport, RepOneReport
+from .sweep import SweepRow
 
 
 def rat_str(x) -> str:
@@ -39,10 +41,6 @@ def parse_qelem(field: QuadField, obj) -> QElem:
     if not isinstance(obj, dict) or "a" not in obj or "b" not in obj:
         raise InputError(f"bad field element {obj!r}")
     return field.elem(parse_rat(obj["a"]), parse_rat(obj["b"]))
-
-
-def field_obj(field: QuadField) -> dict:
-    return {"d": field.d}
 
 
 def parse_field(obj) -> QuadField:
@@ -158,8 +156,6 @@ def parse_order(obj):
     if len(zbasis) != 4 or any(len(r) != 4 for r in zbasis):
         raise InputError("order zbasis must be 4x4")
     one_zb = [parse_rat(x) for x in obj["one"]]
-    from . import linalg
-
     one_alg = linalg.vec_mat(one_zb, zbasis)
     alg = QuatAlgebra(field, table, one=one_alg, validate=True)
     order = QuatOrder(alg, zbasis)
@@ -194,6 +190,35 @@ def report_obj(rep: RepOneReport) -> dict:
         "verdict": rep.verdict,
         "obstruction_prime": rep.obstruction_prime,
         "discriminant": disc_obj(rep.discriminant) if rep.discriminant else None,
+    }
+
+
+SWEEP_COLUMNS = (
+    "alpha",
+    "beta",
+    "gamma",
+    "Delta",
+    "definiteness",
+    "verdict",
+    "witness",
+    "order_disc",
+    "discs_equal",
+)
+
+
+def sweep_row_obj(row: SweepRow) -> dict:
+    """One sweep row keyed by SWEEP_COLUMNS; the CLI's CSV cells derive from it."""
+    witness = row.report.witness
+    return {
+        "alpha": row.alpha,
+        "beta": row.beta,
+        "gamma": qelem_obj(row.gamma),
+        "Delta": rat_str(row.delta.value),
+        "definiteness": row.definiteness.value,
+        "verdict": row.report.verdict,
+        "witness": vector_obj(witness) if witness is not None else None,
+        "order_disc": rat_str(row.order_disc.value) if row.order_disc else None,
+        "discs_equal": row.discs_equal,
     }
 
 

@@ -11,11 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy import isprime
-
 from .errors import InputError, RankError
-
-INFINITY = math.inf
 
 
 def identity_matrix(n: int) -> list[list[Fraction]]:
@@ -231,25 +227,7 @@ def rational_span_equal(rows_a, rows_b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Valuations and congruence diagonalization
-
-
-def valuation(x, p: int):
-    """p-adic valuation of a rational; +infinity for 0."""
-    if not isprime(p):
-        raise InputError(f"{p} is not prime")
-    x = Fraction(x)
-    if x == 0:
-        return INFINITY
-
-    def vint(n: int) -> int:
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return vint(abs(x.numerator)) - vint(x.denominator)
+# Congruence diagonalization
 
 
 def congruence_diagonalize(sym):

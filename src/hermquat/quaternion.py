@@ -348,11 +348,6 @@ class Embedding:
     def omega_alg(self):
         return self.order.element(self.omega_image)
 
-    def image_of(self, l: QElem):
-        alg = self.order.algebra
-        w = self.omega_alg()
-        return [l.a * o + l.b * wi for o, wi in zip(alg.one, w)]
-
 
 def build_order(space: HermSpace, lattice: Lattice, point: Vector):
     """Functor from pointed integral lattices to embedded orders.

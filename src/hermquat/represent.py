@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from sympy import factorint, isprime
+from sympy import factorint, isprime, sqrt_mod
 
 from . import linalg
 from .errors import (
@@ -89,25 +89,23 @@ class RepOneReport:
 # Hensel criterion
 
 
-def hensel_liftable(gram, x, p: int, t: int) -> bool:
+def hensel_liftable(w, x, p: int, t: int) -> bool:
     """Sufficient criterion for x to lift to an exact p-adic solution of h = 1.
 
-    True iff val_p(h(x) - 1) >= 2t + 1 and some partial derivative of h at x
-    has valuation at most t.  For p = 2 the exponent t must be at least 1.
+    ``w`` is the integer matrix 2G of the bilinear form (``IntegralForm.w``),
+    so h(x) = x.w.x / 2 and the gradient of h at x is w.x.  True iff p^(2t+1)
+    divides h(x) - 1 and p^(t+1) does not divide some gradient entry, that
+    is val_p(h(x) - 1) >= 2t + 1 and the gradient has valuation at most t.
+    For p = 2 the exponent t must be at least 1.
     """
     if not isprime(p):
         raise InputError(f"{p} is not prime")
     if p == 2 and t < 1:
         raise InputError("p = 2 requires Hensel exponent t >= 1")
-    n = len(x)
-    value = linalg.evaluate_quadratic(gram, x)
-    if linalg.valuation(value - 1, p) < 2 * t + 1:
+    if (_h_value(w, x) - 1) % p ** (2 * t + 1):
         return False
-    grad_vals = []
-    for i in range(n):
-        gi = 2 * sum(gram[i][j] * x[j] for j in range(n))
-        grad_vals.append(linalg.valuation(gi, p))
-    return min(grad_vals) <= t
+    q = p ** (t + 1)
+    return any(sum(a * b for a, b in zip(row, x)) % q for row in w)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +252,6 @@ def _local_unramified(form: IntegralForm, p: int):
         method = METHOD_DIRECT_HENSEL if p == 2 else METHOD_UNRAMIFIED_UNIT
         return LocalReport(p, False, method, None)
     _, u, hval = found
-    lattice = form.lattice
-    field = lattice.field
     if p == 2:
         modulus, k, t = 8, 3, 1
         method = METHOD_DIRECT_HENSEL
@@ -263,17 +259,21 @@ def _local_unramified(form: IntegralForm, p: int):
         modulus, k, t = p, 1, 0
         method = METHOD_UNRAMIFIED_UNIT
     target = pow(hval % modulus, -1, modulus)
-    rs = _norm_residue_scale(field, target, modulus)
+    rs = _norm_residue_scale(form.lattice.field, target, modulus)
     if rs is None:
         raise InvariantViolation(
             f"norm map failed to reach {target} mod {modulus}; p = {p} unramified"
         )
-    lam = field.elem(rs[0], rs[1])
-    x = vec_scale(lam, lattice.from_integer_coords(u))
-    coords = lattice.integer_coords(x)
-    cert_vec = tuple(c % p**k for c in coords)
+    # lambda*x for lambda = r + s*omega has coordinates r*u + s*(u.Omega)
+    r, s = rs
+    omega = form.lattice.omega_rows()
+    q = p**k
+    cert_vec = tuple(
+        (r * u[j] + s * sum(u[i] * omega[i][j] for i in range(4))) % q
+        for j in range(4)
+    )
     cert = Certificate(cert_vec, k, t)
-    if not hensel_liftable(form.gram, list(cert_vec), p, t):
+    if not hensel_liftable(form.w, cert_vec, p, t):
         raise InvariantViolation(f"constructed certificate fails Hensel at p = {p}")
     return LocalReport(p, True, method, cert)
 
@@ -316,7 +316,7 @@ def _local_ramified(form: IntegralForm, p: int, v_delta: int):
         )
     cert_vec = tuple((sol[0] * s + sol[1] * t) % p for s, t in zip(u1, u2))
     cert = Certificate(cert_vec, 1, 0)
-    if not hensel_liftable(form.gram, list(cert_vec), p, 0):
+    if not hensel_liftable(form.w, cert_vec, p, 0):
         raise InvariantViolation(f"ramified certificate fails Hensel at p = {p}")
     return LocalReport(p, True, METHOD_RAMIFIED_DIAGONAL, cert)
 
@@ -327,8 +327,6 @@ def _sqrt_mod(a: int, p: int):
         return 0
     if pow(a, (p - 1) // 2, p) != 1:
         return None
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
     return sqrt_mod(a, p)
 
 
@@ -352,9 +350,10 @@ def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     clamps = (height_bound,) * 4
     top = height_bound
     if defin == Definiteness.POSITIVE_DEFINITE:
-        inv = linalg.mat_inverse(form.gram)
+        # G^-1 = 2 * W^-1 bounds |c_i| by sqrt((G^-1)_ii) on h(c) = 1
+        inv = linalg.mat_inverse(w)
         clamps = tuple(
-            min(height_bound, _floor_sqrt_fraction(inv[i][i])) for i in range(4)
+            min(height_bound, _floor_sqrt_fraction(2 * inv[i][i])) for i in range(4)
         )
         top = min(height_bound, max(clamps))
     for h in range(0, top + 1):

@@ -140,13 +140,3 @@ class TestSignature:
             moved = linalg.mat_mul(linalg.mat_mul(linalg.mat_transpose(t), s), t)
             assert linalg.signature(moved) == linalg.signature(s)
 
-
-class TestValuation:
-    def test_examples(self):
-        assert linalg.valuation(Fraction(9, 2), 3) == 2
-        assert linalg.valuation(Fraction(9, 2), 2) == -1
-        assert linalg.valuation(0, 5) == linalg.INFINITY
-
-    def test_composite_rejected(self):
-        with pytest.raises(InputError):
-            linalg.valuation(Fraction(1), 6)

@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import logging
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -26,6 +25,7 @@ from hermquat import (
 )
 from hermquat.errors import (
     DegenerateFormError,
+    Error,
     HypothesisError,
     InputError,
     InvariantViolation,
@@ -39,6 +39,7 @@ from hermquat.represent import (
     METHOD_RAMIFIED_DIAGONAL,
     METHOD_UNRAMIFIED_UNIT,
     RepresentConfig,
+    local_prime_set,
 )
 from tests_fixtures import random_b_stable_pairs
 
@@ -51,27 +52,60 @@ STD7 = Lattice.standard(F7)
 
 
 class TestHensel:
-    GRAM = [
-        [Fraction(1), 0, 0, 0],
-        [0, Fraction(1), 0, 0],
-        [0, 0, Fraction(-1), 0],
-        [0, 0, 0, Fraction(-1)],
-    ]
+    # W = 2G of h = x1^2 + x2^2 - x3^2 - x4^2
+    W = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]
 
     def test_exact_solution_lifts(self):
         for p in (3, 5, 7, 11):
-            assert hensel_liftable(self.GRAM, [1, 0, 0, 0], p, 0)
+            assert hensel_liftable(self.W, [1, 0, 0, 0], p, 0)
 
     def test_vanishing_gradient_rejected(self):
         # gradient = 2x = 0 mod 3 forces h(x) = 0 mod 3, so the value
         # condition fails as well
-        gram = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-        assert not hensel_liftable(gram, [3, 3, 3, 3], 3, 0)
+        w = [[2 * int(i == j) for j in range(4)] for i in range(4)]
+        assert not hensel_liftable(w, [3, 3, 3, 3], 3, 0)
 
     def test_p2_needs_t_at_least_one(self):
         with pytest.raises(InputError):
-            hensel_liftable(self.GRAM, [1, 0, 0, 0], 2, 0)
-        assert hensel_liftable(self.GRAM, [1, 0, 0, 0], 2, 1)
+            hensel_liftable(self.W, [1, 0, 0, 0], 2, 0)
+        assert hensel_liftable(self.W, [1, 0, 0, 0], 2, 1)
+
+    def test_composite_rejected(self):
+        with pytest.raises(InputError):
+            hensel_liftable(self.W, [1, 0, 0, 0], 6, 1)
+
+    def test_matches_valuation_definition(self):
+        # val_p(h(x) - 1) >= 2t + 1 and min val_p(grad) <= t, with h = x.W.x/2,
+        # grad = W.x and val_p(0) infinite, on random symmetric W with an even
+        # diagonal.  W[0][0] is solved for h(x) - 1 = e with x[0] = 1 and e = 0
+        # or a unit times p^k, so val_p(h(x) - 1) runs through 0 .. 2t + 2;
+        # a random permutation then moves the solved slot
+        rng = random.Random(23)
+        for p in (2, 3, 5, 7):
+            for t in (1, 2) if p == 2 else (0, 1, 2):
+                for k in range(2 * t + 4):
+                    for _ in range(20):
+                        x = [1] + [rng.randint(-p * p, p * p) for _ in range(3)]
+                        w = [[0] * 4 for _ in range(4)]
+                        for i in range(4):
+                            w[i][i] = 2 * rng.randint(-p * p, p * p)
+                            for j in range(i + 1, 4):
+                                w[i][j] = w[j][i] = rng.randint(-p * p, p * p)
+                        e = 0
+                        if k <= 2 * t + 2:
+                            e = (rng.randrange(1, p) + p * rng.randint(-p, p)) * p**k
+                        rest = sum(x[i] * w[i][j] * x[j] for i in range(4) for j in range(4)) // 2
+                        w[0][0] += 2 * (1 + e - rest)
+                        perm = rng.sample(range(4), 4)
+                        w = [[w[i][j] for j in perm] for i in perm]
+                        x = [x[i] for i in perm]
+                        grad = [sum(w[i][j] * x[j] for j in range(4)) for i in range(4)]
+                        value = sum(x[i] * grad[i] for i in range(4)) // 2
+                        assert value - 1 == e
+                        expected = _valp(value - 1, p) >= 2 * t + 1 and min(
+                            _valp(g, p) for g in grad
+                        ) <= t
+                        assert hensel_liftable(w, x, p, t) == expected
 
     def test_certificate_extends_one_step(self):
         # an accepted certificate lifts: a solution mod p^(2t+2) exists near x
@@ -381,6 +415,44 @@ class TestRamifiedCertificates:
                     assert hx == h(w, x) and hx % p
 
 
+def _local_line(space, lattice, p) -> bytes:
+    try:
+        return _report_line(local_test(space, lattice, p))
+    except Error as exc:
+        return (repr((p, type(exc).__name__)) + "\n").encode()
+
+
+class TestLocalCertificates:
+    """SHA-256 of (prime, solvable, method, certificate) of the local test at
+    every kind of prime, errors recorded by type.  The digests were taken
+    from the earlier Fraction path (the Hensel gate on G with p-adic
+    valuations, the unramified certificate scaled by a norm in L^2)."""
+
+    SWEEP = "357771f35eb49fbec913b2a64986726444f40e8dedce21e3e6322bd51ca539cf"
+    RANDOM = "46c80557c45c944e746ab0c804195b37c818b09dd9a128896f56b72efbbba054"
+
+    def test_sweep_forms_at_every_local_prime(self):
+        # the primes of 2*|D|*|Delta|, an unrelated prime and a composite
+        digest = hashlib.sha256()
+        count = 0
+        for d in (-3, -7, -11, -15):
+            for *_, space, lattice, delta in surviving_forms(QuadField(d), 2):
+                for p in local_prime_set(space.field, delta) + [13, 4]:
+                    digest.update(_local_line(space, lattice, p))
+                    count += 1
+        assert (count, digest.hexdigest()) == (7368, self.SWEEP)
+
+    def test_random_b_stable_lattices(self):
+        # non-integral, degenerate and 2-adically ramified pairs included
+        digest = hashlib.sha256()
+        count = 0
+        for space, lattice in random_b_stable_pairs(3, 1500):
+            for p in (2, 3, 5, 7, 11, 13, 19, 6):
+                digest.update(_local_line(space, lattice, p))
+                count += 1
+        assert (count, digest.hexdigest()) == (12000, self.RANDOM)
+
+
 class TestNormResidueScale:
     def test_large_prime_takes_few_square_roots(self, monkeypatch):
         # the work is one square-root attempt per candidate s, not a scan
@@ -561,4 +633,4 @@ class TestPipeline:
         report = represents_one_integral(space, lattice)
         assert report.verdict == VERDICT_REPRESENTED
         # frozen first witness in enumeration order (unit of determinant 1)
-        assert lattice.integer_coords(report.witness) == [-1, -1, 0, -1]
+        assert lattice.coords_of(report.witness) == [-1, -1, 0, -1]
