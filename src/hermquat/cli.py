@@ -84,8 +84,14 @@ def _render(obj, fmt: str, out: str | None):
 
 def cmd_analyze(args) -> int:
     space, lattice, _ = jsonio.parse_form(_read_json(args.form))
-    integral = is_integral(space, lattice)
     nondeg = space.is_nondegenerate()
+    disc = None
+    if nondeg:  # discriminant_form tests integrality itself
+        try:
+            disc = discriminant_form(space, lattice)
+        except NotIntegralError:
+            pass
+    integral = disc is not None if nondeg else is_integral(space, lattice)
     report = {
         "d": space.field.d,
         "field_discriminant": space.field.D,
@@ -96,8 +102,8 @@ def cmd_analyze(args) -> int:
     }
     if nondeg:
         report["det_form"] = jsonio.disc_obj(det_form(space, lattice))
-        if integral:
-            report["discriminant"] = jsonio.disc_obj(discriminant_form(space, lattice))
+    if disc is not None:
+        report["discriminant"] = jsonio.disc_obj(disc)
     _render(report, args.format, args.out)
     return EXIT_OK
 

@@ -15,6 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
 
+from sympy import factorint
+
 from . import linalg
 from .errors import (
     BStabilityError,
@@ -92,14 +94,13 @@ def space_basis(field: QuadField) -> tuple[Vector, ...]:
 
 
 def omega_matrix(field: QuadField):
-    """Matrix (row convention) of scalar multiplication by omega on Q^4."""
+    """Integer matrix (row convention) of scalar multiplication by omega on Q^4."""
     ma, mb = field.min_a, field.min_b
-    z, o = Fraction(0), Fraction(1)
     return [
-        [z, o, z, z],
-        [Fraction(-mb), Fraction(-ma), z, z],
-        [z, z, z, o],
-        [z, z, Fraction(-mb), Fraction(-ma)],
+        [0, 1, 0, 0],
+        [-mb, -ma, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, -mb, -ma],
     ]
 
 
@@ -354,18 +355,23 @@ class Lattice:
             if v[0].field != field or v[1].field != field:
                 raise InputError("basis vector in a different field")
         rows = [vec_coords(v) for v in basis]
-        if linalg.mat_det(rows) == 0:
+        scaled, den = linalg.scaled_integer_matrix(rows)
+        adj, det = linalg.int_adjugate(scaled)
+        if det == 0:
             raise RankError("basis vectors are not Z-linearly independent")
         self.field = field
         self.basis = basis
         self._rows = rows
-        self._scaled_rows = linalg.scaled_integer_matrix(rows)
-        self._inv = linalg.mat_inverse(rows)
-        w = field.omega()
-        omega = [linalg.vec_mat(vec_coords(vec_scale(w, v)), self._inv) for v in basis]
-        if not linalg.is_integral_matrix(omega):
+        self._scaled_rows = (scaled, den)
+        # coord_rows()^-1 = (R / den)^-1 = den * adj(R) / det(R), kept as
+        # integer numerators over the denominator det(R)
+        self._inv = ([[x * den for x in row] for row in adj], det)
+        # omega * b_i has coordinates R_i.Omega / den, so omega acts on the
+        # basis by R.Omega.adj(R) / det(R)
+        omega = linalg.mat_mul(linalg.mat_mul(scaled, omega_matrix(field)), adj)
+        if any(x % det for row in omega for x in row):
             raise BStabilityError("lattice is not stable under omega")
-        self._omega = [[x.numerator for x in row] for row in omega]
+        self._omega = [[x // det for x in row] for row in omega]
 
     @classmethod
     def standard(cls, field: QuadField) -> "Lattice":
@@ -378,26 +384,38 @@ class Lattice:
         """(R, den): integer rows with coord_rows() = R / den."""
         return self._scaled_rows
 
+    def _coord_numerators(self, v: Vector):
+        """(c, q): the coordinates of v on the basis are c / q."""
+        (x,), xd = linalg.scaled_integer_matrix([vec_coords(v)])
+        inv, det = self._inv
+        return linalg.vec_mat(x, inv), xd * det
+
     def coords_of(self, v: Vector):
-        return linalg.vec_mat(vec_coords(v), self._inv)
+        c, q = self._coord_numerators(v)
+        return [Fraction(x, q) for x in c]
 
     def omega_rows(self):
         """Integer matrix of omega on the basis: omega*b_i = sum_j O[i][j]*b_j."""
         return self._omega
 
     def contains(self, v: Vector) -> bool:
-        return linalg.is_integral_vector(self.coords_of(v))
+        c, q = self._coord_numerators(v)
+        return not any(x % q for x in c)
 
     def from_integer_coords(self, c) -> Vector:
         rows, den = self._scaled_rows
         x = [Fraction(sum(t * r[j] for t, r in zip(c, rows)), den) for j in range(4)]
         return vec_from_coords(self.field, x)
 
-    def index_of_sublattice(self, sub: "Lattice") -> Fraction:
-        change = linalg.mat_mul(sub.coord_rows(), self._inv)
-        if not linalg.is_integral_matrix(change):
+    def index_of_sublattice(self, sub: "Lattice") -> int:
+        rows, den = sub.scaled_rows()
+        inv, det = self._inv
+        # the basis of sub in coordinates on this basis, over q
+        change = linalg.mat_mul(rows, inv)
+        q = den * det
+        if any(x % q for row in change for x in row):
             raise MembershipError("not a sublattice")
-        return abs(linalg.mat_det(change))
+        return abs(linalg.int_det([[x // q for x in row] for row in change]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or other.field != self.field:
@@ -437,7 +455,7 @@ def is_integral(space: HermSpace, lattice: Lattice) -> bool:
 
 
 def free_sublattice_pair(lattice: Lattice, start: int = 0):
-    """An L-independent pair among the basis vectors, scanning from ``start``."""
+    """Indices of an L-independent pair of basis vectors, scanning from ``start``."""
     b = lattice.basis
     n = len(b)
     for i in range(n):
@@ -445,7 +463,7 @@ def free_sublattice_pair(lattice: Lattice, start: int = 0):
         for j in range(n):
             w2 = b[(start + j) % n]
             if w1[0] * w2[1] - w1[1] * w2[0] != 0:
-                return w1, w2
+                return (start + i) % n, (start + j) % n
     raise RankError("lattice has rank < 2 over L")
 
 
@@ -458,17 +476,13 @@ def det_form(space: HermSpace, lattice: Lattice, start: int = 0) -> DiscValue:
     """
     if not space.is_nondegenerate():
         raise DegenerateFormError("determinant of a degenerate form")
-    w1, w2 = free_sublattice_pair(lattice, start)
+    i, j = free_sublattice_pair(lattice, start)
+    w1, w2 = lattice.basis[i], lattice.basis[j]
     # the free sublattice (w1, w*w1, w2, w*w2) sits inside the B-stable
-    # lattice, so its index is the ratio of coordinate determinants
-    omega = space.field.omega()
-    sub_rows = [
-        vec_coords(w1),
-        vec_coords(vec_scale(omega, w1)),
-        vec_coords(w2),
-        vec_coords(vec_scale(omega, w2)),
-    ]
-    index = abs(linalg.mat_det(sub_rows)) / abs(linalg.mat_det(lattice.coord_rows()))
+    # lattice; its rows in lattice coordinates are unit rows and rows of the
+    # omega matrix, and its index is their determinant
+    unit, omega = linalg.int_identity(4), lattice.omega_rows()
+    index = abs(linalg.int_det([unit[i], omega[i], unit[j], omega[j]]))
     det2 = space.h_value(w1) * space.h_value(w2) - space.s_value(w1, w2).norm()
     return DiscValue(det2 / index, FORM_SIGN_CONVENTION)
 
@@ -506,7 +520,7 @@ class IntegralForm:
     are freed together without waiting for the cycle collector.
     """
 
-    __slots__ = ("lattice", "w", "definiteness", "delta")
+    __slots__ = ("lattice", "w", "definiteness", "delta", "_factors")
 
     def __init__(self, space: HermSpace, lattice: Lattice):
         rows, den = lattice.scaled_rows()
@@ -524,7 +538,7 @@ class IntegralForm:
                 raise NotIntegralError("form is not integral on the lattice")
         if not space.is_nondegenerate():
             raise DegenerateFormError("discriminant of a degenerate form")
-        det = int(linalg.mat_det(w))
+        det = linalg.int_det(w)
         root = isqrt(det) if det > 0 else 0
         if root * root != det:
             raise InvariantViolation(f"det(2G) = {det} of an integral form is not a square")
@@ -533,3 +547,14 @@ class IntegralForm:
         self.definiteness = space.definiteness()
         sign = 1 if self.definiteness is Definiteness.INDEFINITE else -1
         self.delta = DiscValue(Fraction(sign * root), FORM_SIGN_CONVENTION)
+        self._factors = None
+
+    def delta_factors(self) -> dict[int, int]:
+        """The factorization of |Delta|, computed on first use and kept.
+
+        The sweep's square-free filter and the local prime set both read it,
+        so |Delta| is factored once per row.
+        """
+        if self._factors is None:
+            self._factors = factorint(int(self.delta.as_ideal))
+        return self._factors

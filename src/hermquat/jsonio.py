@@ -156,6 +156,8 @@ def parse_order(obj):
     if len(zbasis) != 4 or any(len(r) != 4 for r in zbasis):
         raise InputError("order zbasis must be 4x4")
     one_zb = [parse_rat(x) for x in obj["one"]]
+    if len(one_zb) != 4:
+        raise InputError("order one must have 4 entries")
     one_alg = linalg.vec_mat(one_zb, zbasis)
     alg = QuatAlgebra(field, table, one=one_alg, validate=True)
     order = QuatOrder(alg, zbasis)

@@ -4,18 +4,25 @@ Everything here works on plain lists of rows with ``int`` or
 ``fractions.Fraction`` entries; the matrices never exceed 8x8.  Vectors are
 rows throughout the package, so a matrix acts on the right:
 ``vec_mat(v, M)`` is ``v -> v.M``.
+
+The integer kernel (``int_det``, ``int_adjugate``, ``int_signature``) is
+what the pipeline runs on: callers clear denominators once and keep integer
+numerators over one denominator.  ``int_det`` is Bareiss' fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.2.6); the adjugate and the
+signature come from the characteristic polynomial by Faddeev-LeVerrier,
+whose divisions are exact on integer matrices.  The Gaussian ``mat_det``
+and ``mat_inverse`` over Fractions remain as the independent reference the
+tests compare the kernel with.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import InputError, RankError
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def int_identity(n: int) -> list[list[int]]:
@@ -28,12 +35,11 @@ def mat_transpose(m):
 
 def mat_mul(a, b):
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def vec_mat(v, m):
-    cols = len(m[0])
-    return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols)]
+    return [sum(map(mul, v, col)) for col in zip(*m)]
 
 
 def mat_eq(a, b):
@@ -227,64 +233,90 @@ def rational_span_equal(rows_a, rows_b) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Congruence diagonalization
+# Integer kernel
 
 
-def congruence_diagonalize(sym):
-    """Diagonalize a symmetric rational matrix by congruence.
+def int_det(m) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
 
-    Returns (D, P) with P invertible and P^T.S.P == D exactly.  The pivot is
-    the first non-zero diagonal entry of the remaining block; failing that,
-    the first non-zero off-diagonal entry (i, j) first adds basis vector j
-    to basis vector i.
+    Every entry after step k is a (k+1)-minor of the input, so each division
+    by the previous pivot is exact; a zero pivot is replaced by a row swap.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    if not n:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1]
+
+
+def _charpoly(m):
+    """Faddeev-LeVerrier on a square integer matrix A of size n >= 1.
+
+    Returns (c, M) with det(x*I - A) = sum c[k] x^k and M = M_n of the
+    recurrence M_1 = I, M_k = A.M_(k-1) + c[n-k+1]*I, so that
+    adj(A) = (-1)^(n-1) * M.  Each c[n-k] = -tr(A.M_k) / k is an integer
+    (Newton's identities), so the division is exact.
+    """
+    n = len(m)
+    c = [0] * n + [1]
+    mk = int_identity(n)  # M_1
+    for k in range(1, n):
+        mk = [list(row) for row in m] if k == 1 else mat_mul(m, mk)  # A.M_k
+        c[n - k] = ck = -sum(mk[i][i] for i in range(n)) // k
+        for i in range(n):
+            mk[i][i] += ck
+    # c[0] needs only the trace of A.M_n
+    c[0] = -sum(sum(map(mul, row, col)) for row, col in zip(m, zip(*mk))) // n
+    return c, mk
+
+
+def int_adjugate(m):
+    """(adj(A), det(A)) of a square integer matrix A, with adj(A).A = det(A)*I.
+
+    Exact for singular matrices too; A^-1 = adj(A) / det(A) when det != 0.
+    """
+    c, mk = _charpoly(m)
+    if len(m) % 2:
+        return mk, -c[0]
+    return [[-x for x in row] for row in mk], c[0]
+
+
+def int_signature(sym):
+    """Exact (positive, negative, zero) inertia counts of a symmetric integer matrix.
+
+    The characteristic polynomial of a symmetric matrix has only real roots,
+    so Descartes' rule of signs counts them exactly: the sign changes of its
+    coefficients give the positive eigenvalues, those of p(-x) the negative
+    ones, and the lowest non-zero coefficient the multiplicity of 0.
     """
     n = len(sym)
-    a = [[Fraction(x) for x in row] for row in sym]
-    for i in range(n):
-        for j in range(n):
-            if a[i][j] != a[j][i]:
-                raise InputError("matrix is not symmetric")
-    p = identity_matrix(n)
+    if any(sym[i][j] != sym[j][i] for i in range(n) for j in range(i + 1, n)):
+        raise InputError("matrix is not symmetric")
+    if not n:
+        return 0, 0, 0
+    c, _ = _charpoly(sym)
+    zero = next(k for k in range(n + 1) if c[k])
 
-    def col_addmul(j, k, f):
-        # basis vector j += f * basis vector k
-        for i in range(n):
-            a[i][j] += f * a[i][k]
-        for i in range(n):
-            a[j][i] += f * a[k][i]
-        for i in range(n):
-            p[i][j] += f * p[i][k]
+    def changes(coeffs):
+        signs = [x > 0 for x in coeffs if x]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    def col_swap(j, k):
-        for row in a:
-            row[j], row[k] = row[k], row[j]
-        a[j], a[k] = a[k], a[j]
-        for row in p:
-            row[j], row[k] = row[k], row[j]
-
-    for k in range(n):
-        idx = next((i for i in range(k, n) if a[i][i]), None)
-        if idx is None:
-            pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
-                None,
-            )
-            if pair is None:
-                break
-            col_addmul(pair[0], pair[1], Fraction(1))
-            idx = pair[0]
-        if idx != k:
-            col_swap(idx, k)
-        d = a[k][k]
-        for j in range(k + 1, n):
-            if a[k][j]:
-                col_addmul(j, k, -a[k][j] / d)
-    return a, p
-
-
-def signature(sym):
-    """Exact (positive, negative, zero) inertia counts of a symmetric matrix."""
-    d, _ = congruence_diagonalize(sym)
-    pos = sum(1 for i in range(len(d)) if d[i][i] > 0)
-    neg = sum(1 for i in range(len(d)) if d[i][i] < 0)
-    return pos, neg, len(d) - pos - neg
+    pos = changes(c)
+    neg = changes([x if k % 2 == 0 else -x for k, x in enumerate(c)])
+    return pos, neg, zero

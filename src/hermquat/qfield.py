@@ -22,19 +22,16 @@ class SplitType(Enum):
     RAMIFIED = "ramified"
 
 
-def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorint(n).values())
-
-
 class QuadField:
     """Q(sqrt(d)) for a square-free negative integer d."""
 
-    __slots__ = ("d", "D", "omega_is_half", "min_a", "min_b")
+    __slots__ = ("d", "D", "omega_is_half", "min_a", "min_b", "ramified_primes")
 
     def __init__(self, d: int):
         if not isinstance(d, int) or d >= 0:
             raise InputError("d must be a negative integer")
-        if not _is_squarefree(-d):
+        factors = factorint(-d)
+        if any(e > 1 for e in factors.values()):
             raise InputError(f"d = {d} is not square-free")
         self.d = d
         if d % 4 == 1:
@@ -49,6 +46,8 @@ class QuadField:
             self.omega_is_half = False
             self.min_a = 0
             self.min_b = -d
+        # the primes dividing D
+        self.ramified_primes = tuple(sorted(set(factors) | ({2} if self.D % 2 == 0 else set())))
 
     def elem(self, a, b=0) -> "QElem":
         return QElem(self, a, b)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import mul
 from typing import NamedTuple
 
 from . import linalg
@@ -30,13 +31,24 @@ from .hermitian import (
     Lattice,
     Vector,
     det_form,
-    space_basis,
+    omega_matrix,
     vec_coords,
     vec_from_coords,
     vec_scale,
-    vec_sub,
 )
 from .qfield import QElem, QuadField
+
+
+def _table_numerators(a, b, theta: Fraction):
+    """``algebra_table(a, b, theta)`` as integers over the denominator of theta."""
+    t, s = theta.numerator, theta.denominator
+    e0, e1, e2, e3 = ([s * int(i == j) for j in range(4)] for i in range(4))
+    return [
+        [e0, e1, e2, e3],
+        [e1, [-b * s, -a * s, 0, 0], e3, [0, 0, -b * s, -a * s]],
+        [e2, [0, 0, -a * s, -s], [t, 0, 0, 0], [-a * t, -t, 0, 0]],
+        [e3, [0, 0, b * s, 0], [0, t, 0, 0], [b * t, 0, 0, 0]],
+    ], s
 
 
 def algebra_table(a, b, theta):
@@ -44,65 +56,41 @@ def algebra_table(a, b, theta):
 
     Here pi is a root of x^2 + a*x + b, u^2 = theta and u*m = conj(m)*u.
     """
-    a, b, th = Fraction(a), Fraction(b), Fraction(theta)
-    z = Fraction(0)
-    o = Fraction(1)
+    tn, td = _table_numerators(a, b, Fraction(theta))
+    return [_rational(row, td) for row in tn]
 
-    def v(*xs):
-        return [Fraction(x) for x in xs]
 
-    e0, e1, e2, e3 = v(o, z, z, z), v(z, o, z, z), v(z, z, o, z), v(z, z, z, o)
-    return [
-        [e0, e1, e2, e3],
-        [e1, v(-b, -a, z, z), e3, v(z, z, -b, -a)],
-        [e2, v(z, z, -a, -o), v(th, z, z, z), v(-a * th, -th, z, z)],
-        [e3, v(z, z, b, z), v(z, th, z, z), v(b * th, z, z, z)],
-    ]
+def _rational(rows, den):
+    """The rational matrix rows / den."""
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+_ZERO = Fraction(0)
 
 
 class QuatAlgebra:
     """A 4-dimensional algebra given by structure constants.
 
-    ``table[i][j]`` holds the coordinates of e_i * e_j.  Only
-    ``canonical`` sets ``theta`` (u^2 = theta), and only ``build_algebra``
-    sets ``frame`` (rows = V-coordinates of the algebra basis) and its
-    inverse; the closed-form norm Gram relies on ``theta`` describing the
-    table, so a parsed table never carries it.
+    The stored copy of the table is integer: ``_tn[a][b]`` over the common
+    denominator ``_td`` holds the coordinates of e_a * e_b, so ``_tn[a]`` is
+    the integer matrix of x -> e_a * x.  ``table`` is derived from it as
+    rationals.  Only ``canonical`` sets ``theta`` (u^2 = theta), and only
+    ``build_algebra`` sets the frame (rows = V-coordinates of the algebra
+    basis) and its inverse, both as integer numerators over one
+    denominator; the closed-form norm Gram relies on ``theta`` describing
+    the table, so a parsed table never carries it.
     """
 
     __slots__ = (
-        "field", "table", "one", "theta", "frame", "_frame_inv", "_trace_vec",
+        "field", "one", "theta", "_frame", "_frame_inv", "_trace_vec",
         "_tn", "_td", "_trace_n",
     )
 
     def __init__(self, field, table, one=None, validate=False):
-        self.field = field
-        self.table = [
-            [[Fraction(x) for x in entry] for entry in row] for row in table
-        ]
-        self.one = (
-            [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-            if one is None
-            else [Fraction(x) for x in one]
-        )
-        self.theta = None
-        self.frame = None
-        self._frame_inv = None
-        # the table as integers over one denominator: table[a][b] = _tn[a][b] / _td,
-        # so _tn[a] is the integer matrix of x -> e_a * x on the standard basis
         flat, td = linalg.scaled_integer_matrix(
-            [entry for row in self.table for entry in row]
+            [[Fraction(x) for x in entry] for row in table for entry in row]
         )
-        self._tn = [flat[4 * a : 4 * a + 4] for a in range(4)]
-        self._td = td
-        # reduced_trace(x) = <x, _trace_vec> / 2 since tr(L_x) is linear in x
-        tv = [sum(self._tn[i][j][j] for j in range(4)) for i in range(4)]
-        self._trace_vec = [Fraction(t, td) for t in tv]
-        # trace Gram trd(e_a * e_b) = _trace_n[a][b] / (2 * _td^2)
-        self._trace_n = [
-            [sum(x * t for x, t in zip(self._tn[a][b], tv)) for b in range(4)]
-            for a in range(4)
-        ]
+        self._setup(field, [flat[4 * a : 4 * a + 4] for a in range(4)], td, one)
         if validate:
             if not self.is_identity(self.one):
                 raise InputError("declared identity is not a two-sided identity")
@@ -111,29 +99,56 @@ class QuatAlgebra:
                 i, j, k = bad[0]
                 raise InputError(f"multiplication table is not associative at {(i, j, k)}")
 
+    def _setup(self, field, tn, td, one):
+        self.field = field
+        self._tn = tn
+        self._td = td
+        self.one = (
+            [Fraction(1), _ZERO, _ZERO, _ZERO]
+            if one is None
+            else [Fraction(x) for x in one]
+        )
+        self.theta = None
+        self._frame = None
+        self._frame_inv = None
+        # reduced_trace(x) = <x, _trace_vec> / 2 since tr(L_x) is linear in x
+        tv = [sum(tn[i][j][j] for j in range(4)) for i in range(4)]
+        self._trace_vec = [Fraction(t, td) for t in tv]
+        # trace Gram trd(e_a * e_b) = _trace_n[a][b] / (2 * _td^2)
+        self._trace_n = [[sum(map(mul, tn[a][b], tv)) for b in range(4)] for a in range(4)]
+
     @classmethod
     def canonical(cls, field: QuadField, theta):
         """L + L.u on the basis (1, omega, u, omega*u) with u^2 = theta."""
-        alg = cls(field, algebra_table(field.min_a, field.min_b, theta))
-        alg.theta = Fraction(theta)
+        theta = Fraction(theta)
+        alg = cls.__new__(cls)
+        alg._setup(field, *_table_numerators(field.min_a, field.min_b, theta), None)
+        alg.theta = theta
         return alg
+
+    @property
+    def table(self):
+        """``table[i][j]``: the coordinates of e_i * e_j, as rationals."""
+        return [_rational(row, self._td) for row in self._tn]
 
     # -- multiplication and the reduced operations
 
     def mul(self, x, y):
-        out = [Fraction(0)] * 4
+        out = [_ZERO] * 4
         for i in range(4):
             if not x[i]:
                 continue
+            row = self._tn[i]
             for j in range(4):
                 if not y[j]:
                     continue
                 c = x[i] * y[j]
-                entry = self.table[i][j]
+                entry = row[j]
                 for k in range(4):
                     if entry[k]:
                         out[k] += c * entry[k]
-        return out
+        td = self._td
+        return out if td == 1 else [v / td for v in out]
 
     def is_identity(self, e) -> bool:
         return all(
@@ -141,13 +156,19 @@ class QuatAlgebra:
         )
 
     def associativity_failures(self):
-        basis = _std_basis()
+        """Triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
+
+        Both sides are compared on the integer table, scaled by _td^2:
+        (e_i e_j) e_k = sum_m tn[i][j][m] * tn[m][k] and
+        e_i (e_j e_k) = sum_m tn[j][k][m] * tn[i][m].
+        """
+        tn = self._tn
         fails = []
         for i in range(4):
             for j in range(4):
                 for k in range(4):
-                    lhs = self.mul(self.mul(basis[i], basis[j]), basis[k])
-                    rhs = self.mul(basis[i], self.mul(basis[j], basis[k]))
+                    lhs = linalg.vec_mat(tn[i][j], [tn[m][k] for m in range(4)])
+                    rhs = linalg.vec_mat(tn[j][k], tn[i])
                     if lhs != rhs:
                         fails.append((i, j, k))
         return fails
@@ -173,17 +194,9 @@ class QuatAlgebra:
         return self.reduced_norm(xy) - self.reduced_norm(x) - self.reduced_norm(y)
 
     def norm_gram(self):
-        """Gram matrix of the reduced norm on the basis of the table.
-
-        For a canonical algebra n(x + y*u) = n(x) - theta*n(y), so the Gram
-        is blockdiag(N, -theta*N) with N the norm Gram of B on (1, omega).
-        """
+        """Gram matrix of the reduced norm on the basis of the table."""
         if self.theta is not None:
-            ma, mb = self.field.min_a, self.field.min_b
-            n = [[Fraction(1), Fraction(-ma, 2)], [Fraction(-ma, 2), Fraction(mb)]]
-            z = Fraction(0)
-            th = self.theta
-            return [row + [z, z] for row in n] + [[z, z] + [-th * x for x in row] for row in n]
+            return _rational(*self._norm_gram_scaled())
         basis = _std_basis()
         g = [[Fraction(0)] * 4 for _ in range(4)]
         for i in range(4):
@@ -192,16 +205,39 @@ class QuatAlgebra:
                 g[i][j] = g[j][i] = self.norm_bilinear(basis[i], basis[j]) / 2
         return g
 
+    def _norm_gram_scaled(self):
+        """Integers (S, q), q > 0, with norm_gram() = S / q.
+
+        For a canonical algebra n(x + y*u) = n(x) - theta*n(y), so the Gram
+        is blockdiag(N, -theta*N) with 2N = [[2, -a], [-a, 2b]] the doubled
+        norm Gram of B on (1, omega); with theta = t/s it is
+        blockdiag(s*2N, -t*2N) / (2s).
+        """
+        if self.theta is None:
+            return linalg.scaled_integer_matrix(self.norm_gram())
+        ma, mb = self.field.min_a, self.field.min_b
+        t, s = self.theta.numerator, self.theta.denominator
+        n2 = ((2, -ma), (-ma, 2 * mb))
+        return [
+            [s * x for x in row] + [0, 0] for row in n2
+        ] + [[0, 0] + [-t * x for x in row] for row in n2], 2 * s
+
     def scalar(self, c):
         return [Fraction(c) * o for o in self.one]
 
     # -- conversions through the frame (canonical algebras only)
 
+    @property
+    def frame(self):
+        """Rows = V-coordinates of the algebra basis, or None."""
+        return None if self._frame is None else _rational(*self._frame)
+
     def to_space(self, x) -> Vector:
         return vec_from_coords(self.field, linalg.vec_mat(x, self.frame))
 
     def from_space(self, v: Vector):
-        return linalg.vec_mat(vec_coords(v), self._frame_inv)
+        fin, q = self._frame_inv
+        return [c / q for c in linalg.vec_mat(vec_coords(v), fin)]
 
 
 def _std_basis():
@@ -219,45 +255,49 @@ def build_algebra(space: HermSpace, point: Vector) -> QuatAlgebra:
 
     The basis is (v, w*v, u, w*u) where u is the first standard basis vector
     made orthogonal to v; theta = -h(u).  The reduced norm of the result is
-    exactly h.
+    exactly h.  Everything is computed on integer V-coordinates with the
+    integer Gram M, 2 * gram4 = M / k, of ``HermSpace._double_gram4``.
     """
     if not space.is_nondegenerate():
         raise DegenerateFormError("cannot build an algebra from a degenerate form")
-    if space.h_value(point) != 1:
-        raise InputError("the point must satisfy h(v) = 1")
     field = space.field
-    e1, _, e2, _ = space_basis(field)
-    w = next(
-        e for e in (e1, e2) if point[0] * e[1] - point[1] * e[0] != 0
-    )
-    gamma0 = space.s_value(w, point)
-    u = vec_sub(w, vec_scale(gamma0, point))
-    theta = -space.h_value(u)
+    ma, mb = field.min_a, field.min_b
+    om = omega_matrix(field)
+    m, k = space._double_gram4()
+    # point = p / pd; h(x) = x.M.x / (2k) and b(x, y) = x.M.y / k
+    (p,), pd = linalg.scaled_integer_matrix([vec_coords(point)])
+    mp = linalg.vec_mat(p, m)
+    if sum(map(mul, mp, p)) != 2 * k * pd * pd:
+        raise InputError("the point must satisfy h(v) = 1")
+    pw = linalg.vec_mat(p, om)  # omega * point, over pd
+    # w is e1, or e2 when point[1] = 0; then point[0] != 0 since h(point) = 1
+    i0 = 0 if p[2] or p[3] else 2
+    # gamma0 = s(w, point) = a + b*omega: the b-values of w with point and
+    # with omega*point are tr(gamma0) = 2a - ma*b and tr(conj(omega)*gamma0)
+    # = -ma*a + 2*mb*b, times k*pd; that system has determinant -D, so
+    # gamma0 = (ga + gb*omega) / g
+    t1, t2 = mp[i0], sum(map(mul, m[i0], pw))
+    ga, gb = 2 * mb * t1 + ma * t2, ma * t1 + 2 * t2
+    g = -field.D * k * pd
+    # u = w - gamma0*point = u_n / ud
+    ud = g * pd
+    u_n = [ud * (i == i0) - ga * x - gb * y for i, (x, y) in enumerate(zip(p, pw))]
+    theta = Fraction(-sum(map(mul, linalg.vec_mat(u_n, m), u_n)), 2 * k * ud * ud)
     if theta == 0:
         raise DegenerateFormError("orthogonal complement is isotropic; form degenerate")
-    omega = field.omega()
     alg = QuatAlgebra.canonical(field, theta)
-    alg.frame = [
-        vec_coords(point),
-        vec_coords(vec_scale(omega, point)),
-        vec_coords(u),
-        vec_coords(vec_scale(omega, u)),
-    ]
-    # The frame is the L-linear map (a, b) -> a*point + b*u, whose L-matrix
-    # has rows (point, u); its inverse is [[u1, -v1], [-u0, v0]] / det, and
-    # det = det(point, u) = det(point, w) != 0 by the choice of w.
-    inv = 1 / (point[0] * u[1] - point[1] * u[0])
-    inv_rows = ((u[1] * inv, -point[1] * inv), (-u[0] * inv, point[0] * inv))
-    alg._frame_inv = [
-        vec_coords(r) for row in inv_rows for r in (row, vec_scale(omega, row))
-    ]
-    # frame.gram4.frame^T = fn.m.fn^T / (2*k*fd^2), where 2*gram4 = m / k
-    fn, fd = linalg.scaled_integer_matrix(alg.frame)
-    m, k = space._double_gram4()
+    fn = [[g * x for x in p], [g * x for x in pw], u_n, linalg.vec_mat(u_n, om)]
+    alg._frame = (fn, ud)
+    # frame.gram4.frame^T = fn.M.fn^T / (2k*ud^2) must be norm_gram() = S / q
     got = linalg.mat_mul(linalg.mat_mul(fn, m), linalg.mat_transpose(fn))
-    scale = 2 * k * fd * fd
-    if not linalg.mat_eq([[x * scale for x in row] for row in alg.norm_gram()], got):
+    gram, q = alg._norm_gram_scaled()
+    scale = 2 * k * ud * ud
+    if [[q * x for x in row] for row in got] != [[scale * x for x in row] for row in gram]:
         raise InvariantViolation("norm form of the built algebra differs from h")
+    # frame^-1 = (fn / ud)^-1 = ud * adj(fn) / det(fn); det != 0 since the
+    # norm form check above makes frame.gram4.frame^T nondegenerate
+    adj, det = linalg.int_adjugate(fn)
+    alg._frame_inv = ([[ud * x for x in row] for row in adj], det)
     return alg
 
 
@@ -271,32 +311,42 @@ class QuatOrder:
     __slots__ = ("algebra", "zbasis", "_zinv", "one_coords", "products")
 
     def __init__(self, algebra: QuatAlgebra, zbasis):
-        self.algebra = algebra
-        self.zbasis = [[Fraction(x) for x in row] for row in zbasis]
-        if len(self.zbasis) != 4:
+        zbasis = [[Fraction(x) for x in row] for row in zbasis]
+        if len(zbasis) != 4:
             raise RankError("order basis must be 4 independent vectors")
-        try:
-            self._zinv = linalg.mat_inverse(self.zbasis)
-        except RankError as exc:
-            raise RankError("order basis must be 4 independent vectors") from exc
-        one = linalg.vec_mat(algebra.one, self._zinv)
-        if not linalg.is_integral_vector(one):
+        self._setup(algebra, *linalg.scaled_integer_matrix(zbasis))
+
+    @classmethod
+    def _from_numerators(cls, algebra: QuatAlgebra, zn, dz):
+        """The order with Z-basis zn / dz, for integer rows zn."""
+        order = cls.__new__(cls)
+        order._setup(algebra, zn, dz)
+        return order
+
+    def _setup(self, algebra, zn, dz):
+        self.algebra = algebra
+        self.zbasis = _rational(zn, dz)
+        adj, det = linalg.int_adjugate(zn)
+        if det == 0:
+            raise RankError("order basis must be 4 independent vectors")
+        # zbasis^-1 = (zn / dz)^-1 = dz * adj / det
+        self._zinv = ([[dz * x for x in row] for row in adj], det)
+        one, q = self._coord_numerators(algebra.one)
+        if any(x % q for x in one):
             raise ClosureError("lattice does not contain the identity")
-        self.one_coords = [int(x) for x in one]
+        self.one_coords = [x // q for x in one]
         # z_i * z_j = z_j . (sum_a z_i[a] * tn_a) / td, so the coordinates of
         # the products z_i * z_j, over all j, are the rows of
-        # zn . (sum_a zn[i][a] * tn_a) . zinv_n / (dz^2 * td * di).
-        zn, dz = linalg.scaled_integer_matrix(self.zbasis)
-        zinv_n, di = linalg.scaled_integer_matrix(self._zinv)
+        # zn . (sum_a zn[i][a] * tn_a) . adj / (dz * td * det).
         tn = algebra._tn
-        den = dz * dz * algebra._td * di
+        den = dz * algebra._td * det
         self.products = []
         for i in range(4):
             left = [
-                [sum(c * t for c, t in zip(zn[i], col)) for col in zip(*rows)]
+                [sum(map(mul, zn[i], col)) for col in zip(*rows)]
                 for rows in zip(*tn)
             ]
-            prod = linalg.mat_mul(linalg.mat_mul(zn, left), zinv_n)
+            prod = linalg.mat_mul(linalg.mat_mul(zn, left), adj)
             row = []
             for j in range(4):
                 c = []
@@ -310,11 +360,19 @@ class QuatOrder:
                 row.append(c)
             self.products.append(row)
 
+    def _coord_numerators(self, x):
+        """(c, q): the coordinates of x on the Z-basis are c / q."""
+        (xn,), xd = linalg.scaled_integer_matrix([x])
+        zinv, det = self._zinv
+        return linalg.vec_mat(xn, zinv), xd * det
+
     def coords_of(self, x):
-        return linalg.vec_mat(x, self._zinv)
+        c, q = self._coord_numerators(x)
+        return [Fraction(v, q) for v in c]
 
     def contains(self, x) -> bool:
-        return linalg.is_integral_vector(self.coords_of(x))
+        c, q = self._coord_numerators(x)
+        return not any(v % q for v in c)
 
     def element(self, coords):
         return linalg.vec_mat([Fraction(c) for c in coords], self.zbasis)
@@ -330,18 +388,21 @@ class Embedding:
 
     def __init__(self, order: QuatOrder, omega_image):
         coords = [Fraction(x) for x in omega_image]
-        if not linalg.is_integral_vector(coords):
+        if len(coords) != 4:
+            raise InputError("omega image must have 4 coordinates")
+        if any(x.denominator != 1 for x in coords):
             raise InputError("omega image must have integer coordinates in the order")
         self.order = order
-        self.omega_image = [int(x) for x in coords]
-        alg = order.algebra
-        w = self.omega_alg()
-        field = alg.field
-        lhs = alg.mul(w, w)
-        lhs = [
-            x + field.min_a * y + field.min_b * o
-            for x, y, o in zip(lhs, w, alg.one)
-        ]
+        c = self.omega_image = [x.numerator for x in coords]
+        # w = sum c_i z_i: the minimal polynomial w^2 + a*w + b in order
+        # coordinates, with w^2 = sum c_i c_j (z_i * z_j) from the products
+        field = order.algebra.field
+        lhs = [field.min_a * x + field.min_b * o for x, o in zip(c, order.one_coords)]
+        for i in range(4):
+            for j in range(4):
+                if c[i] and c[j]:
+                    cc = c[i] * c[j]
+                    lhs = [s + cc * t for s, t in zip(lhs, order.products[i][j])]
         if any(lhs):
             raise InputError("omega image fails the minimal polynomial")
 
@@ -361,17 +422,19 @@ def build_order(space: HermSpace, lattice: Lattice, point: Vector):
     if not lattice.contains(point):
         raise MembershipError("point does not lie in the lattice")
     alg = build_algebra(space, point)
-    zbasis = [alg.from_space(v) for v in lattice.basis]
+    # the lattice rows R / den through frame^-1 = fin / q, in one product
+    rows, den = lattice.scaled_rows()
+    fin, q = alg._frame_inv
     try:
-        order = QuatOrder(alg, zbasis)
+        order = QuatOrder._from_numerators(alg, linalg.mat_mul(rows, fin), den * q)
     except ClosureError as exc:
         raise InvariantViolation(
             f"integral pointed lattice is not closed under multiplication: {exc}"
         ) from exc
-    omega_coords = order.coords_of([0, 1, 0, 0])
-    if not linalg.is_integral_vector(omega_coords):
+    omega_coords, q = order._coord_numerators([0, 1, 0, 0])
+    if any(x % q for x in omega_coords):
         raise InvariantViolation("omega * point escapes the lattice despite stability")
-    return order, Embedding(order, [int(x) for x in omega_coords])
+    return order, Embedding(order, [x // q for x in omega_coords])
 
 
 class PointedForm(NamedTuple):
@@ -425,16 +488,24 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
         raise DegenerateFormError("norm form degenerate on the orthogonal line")
     space = HermSpace(field, 1, -theta, field.zero())
     frame = [alg.one, w, u, alg.mul(w, u)]
-    frame_inv = linalg.mat_inverse(frame)
-    vectors = []
-    for z in order.zbasis:
-        vectors.append(vec_from_coords(field, linalg.vec_mat(z, frame_inv)))
-    lattice = Lattice(field, vectors)
+    # x . frame^-1 = x . fd * adj / det for frame = fn / fd
+    fn, fd = linalg.scaled_integer_matrix(frame)
+    adj, det = linalg.int_adjugate(fn)
+    if det == 0:
+        raise RankError("matrix is singular")
+
+    def pulled_back(x):
+        (xn,), xd = linalg.scaled_integer_matrix([x])
+        q = xd * det
+        return vec_from_coords(
+            field, [Fraction(c * fd, q) for c in linalg.vec_mat(xn, adj)]
+        )
+
+    lattice = Lattice(field, [pulled_back(z) for z in order.zbasis])
     for z, v in zip(order.zbasis, lattice.basis):
         if space.h_value(v) != alg.reduced_norm(z):
             raise InvariantViolation("pulled-back form disagrees with the reduced norm")
-    point = vec_from_coords(field, linalg.vec_mat(alg.one, frame_inv))
-    return PointedForm(space, lattice, point, frame)
+    return PointedForm(space, lattice, pulled_back(alg.one), frame)
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +524,16 @@ def lattice_disc(algebra: QuatAlgebra, zbasis) -> DiscValue:
     # tr(g_i * g_j) = (zn . T . zn^T)[i][j] / den with T = algebra._trace_n
     tr = linalg.mat_mul(linalg.mat_mul(zn, algebra._trace_n), linalg.mat_transpose(zn))
     den = 2 * algebra._td**2 * dz**2
-    det = int(linalg.mat_det(tr))
+    det = linalg.int_det(tr)
     # det(tr) = det(zbasis)^2 * det(T), so only a zero det can hide a rank defect
-    if det == 0 and linalg.mat_det(zbasis) == 0:
+    if det == 0 and linalg.int_det(zn) == 0:
         raise RankError("lattice must have full rank in the algebra")
     root = isqrt(-det) if det <= 0 else None
     if root is None or root * root != -det:
         raise InvariantViolation(
             f"trace-pairing determinant {Fraction(det, den**4)} is not minus a square"
         )
-    pos, neg, zero = linalg.signature(algebra.norm_gram())
+    pos, neg, zero = linalg.int_signature(algebra._norm_gram_scaled()[0])
     if zero or (pos, neg) not in ((2, 2), (4, 0)):
         raise InvariantViolation("norm form signature is not that of a quaternion algebra")
     sign = 1 if (pos, neg) == (2, 2) else -1
@@ -574,5 +645,7 @@ def change_point(space: HermSpace, lattice: Lattice, v: Vector, u: Vector) -> Is
     alg = build_algebra(space, v)
     u_alg = alg.from_space(u)
     rmul = [alg.mul(e, u_alg) for e in _std_basis()]
-    matrix_q = linalg.mat_mul(linalg.mat_mul(alg._frame_inv, rmul), alg.frame)
+    fin, q = alg._frame_inv
+    matrix_q = linalg.mat_mul(linalg.mat_mul(fin, rmul), alg.frame)
+    matrix_q = [[x / q for x in row] for row in matrix_q]
     return Isometry(space, matrix_q, lattice=lattice, point_map=(v, u))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from sympy import factorint, isprime, sqrt_mod
+from sympy import isprime, sqrt_mod
 
 from . import linalg
 from .errors import (
@@ -350,10 +350,12 @@ def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     clamps = (height_bound,) * 4
     top = height_bound
     if defin == Definiteness.POSITIVE_DEFINITE:
-        # G^-1 = 2 * W^-1 bounds |c_i| by sqrt((G^-1)_ii) on h(c) = 1
-        inv = linalg.mat_inverse(w)
+        # G^-1 = 2 * W^-1 = 2 * adj(W) / det(W) bounds |c_i| by
+        # sqrt((G^-1)_ii) on h(c) = 1, and floor(sqrt(n / q)) is
+        # isqrt(n * q) // q for integers n >= 0 and q > 0
+        adj, det = linalg.int_adjugate(w)
         clamps = tuple(
-            min(height_bound, _floor_sqrt_fraction(2 * inv[i][i])) for i in range(4)
+            min(height_bound, isqrt(2 * adj[i][i] * det) // det) for i in range(4)
         )
         top = min(height_bound, max(clamps))
     for h in range(0, top + 1):
@@ -371,18 +373,13 @@ def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     return None
 
 
-def _floor_sqrt_fraction(x: Fraction) -> int:
-    if x < 0:
-        return 0
-    return isqrt(x.numerator * x.denominator) // x.denominator
-
-
 # ---------------------------------------------------------------------------
 # The integral pipeline
 
 
-def local_prime_set(field: QuadField, delta: DiscValue):
-    return sorted(factorint(2 * abs(field.D) * int(delta.as_ideal)).keys())
+def local_prime_set(form: IntegralForm):
+    """The primes of 2*D*Delta: 2, the field's ramified primes and the record's primes of |Delta|."""
+    return sorted({2, *form.lattice.field.ramified_primes, *form.delta_factors()})
 
 
 def represents_one_integral(
@@ -414,7 +411,7 @@ def represents_one_integral(
             verdict=VERDICT_REAL_OBSTRUCTION,
             discriminant=delta,
         )
-    primes = list(config.primes) if config.primes else local_prime_set(field, delta)
+    primes = list(config.primes) if config.primes else local_prime_set(form)
     reports = [local_test(space, lattice, p) for p in primes]
     bad = next((r for r in reports if not r.solvable), None)
     if bad is not None:
@@ -435,11 +432,7 @@ def represents_one_integral(
             verdict=VERDICT_REPRESENTED,
             discriminant=delta,
         )
-    # Every prime of |Delta| is in local_prime_set and passed local_test's
-    # val_p(Delta) <= 1 check, so only a caller's own prime set needs factoring.
-    sf = not config.primes or all(
-        e == 1 for e in factorint(int(delta.as_ideal)).values()
-    )
+    sf = all(e == 1 for e in form.delta_factors().values())
     if defin == Definiteness.INDEFINITE and sf:
         logger.warning(
             "indefinite form with square-free |Delta| = %s exhausted the search "

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from sympy import factorint
-
 from .errors import NotIntegralError
 from .hermitian import (
     Definiteness,
@@ -65,12 +63,12 @@ def surviving_forms(field: QuadField, height: int):
         if not space.is_nondegenerate():
             continue
         try:
-            delta = space.integral_form(lattice).delta
+            form = space.integral_form(lattice)
         except NotIntegralError:
             continue
-        if any(e > 1 for e in factorint(int(delta.as_ideal)).values()):
+        if any(e > 1 for e in form.delta_factors().values()):
             continue
-        yield alpha, beta, gamma, space, lattice, delta
+        yield alpha, beta, gamma, space, lattice, form.delta
 
 
 def run_row(space, lattice, delta, config: RepresentConfig) -> tuple:

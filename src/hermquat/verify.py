@@ -137,7 +137,7 @@ def random_b_stable_lattice(rng, field) -> Lattice:
     womega = [[int(x) for x in row] for row in omega_matrix(field)]
     while True:
         rows = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
-        if linalg.mat_det(rows) == 0:
+        if linalg.int_det(rows) == 0:
             continue
         closure = rows + [linalg.vec_mat(row, womega) for row in rows]
         closed = linalg.hnf_basis(closure)

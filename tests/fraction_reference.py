@@ -1,0 +1,75 @@
+"""Fraction reference for the integer kernel's signature: congruence
+diagonalization over the rationals.
+
+The package computes inertia with ``linalg.int_signature`` (Descartes' rule
+on the characteristic polynomial); the tests compare it with this
+independent elimination path.
+"""
+
+from fractions import Fraction
+
+from hermquat.errors import InputError
+
+
+def identity_matrix(n: int) -> list[list[Fraction]]:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def congruence_diagonalize(sym):
+    """Diagonalize a symmetric rational matrix by congruence.
+
+    Returns (D, P) with P invertible and P^T.S.P == D exactly.  The pivot is
+    the first non-zero diagonal entry of the remaining block; failing that,
+    the first non-zero off-diagonal entry (i, j) first adds basis vector j
+    to basis vector i.
+    """
+    n = len(sym)
+    a = [[Fraction(x) for x in row] for row in sym]
+    for i in range(n):
+        for j in range(n):
+            if a[i][j] != a[j][i]:
+                raise InputError("matrix is not symmetric")
+    p = identity_matrix(n)
+
+    def col_addmul(j, k, f):
+        # basis vector j += f * basis vector k
+        for i in range(n):
+            a[i][j] += f * a[i][k]
+        for i in range(n):
+            a[j][i] += f * a[k][i]
+        for i in range(n):
+            p[i][j] += f * p[i][k]
+
+    def col_swap(j, k):
+        for row in a:
+            row[j], row[k] = row[k], row[j]
+        a[j], a[k] = a[k], a[j]
+        for row in p:
+            row[j], row[k] = row[k], row[j]
+
+    for k in range(n):
+        idx = next((i for i in range(k, n) if a[i][i]), None)
+        if idx is None:
+            pair = next(
+                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                None,
+            )
+            if pair is None:
+                break
+            col_addmul(pair[0], pair[1], Fraction(1))
+            idx = pair[0]
+        if idx != k:
+            col_swap(idx, k)
+        d = a[k][k]
+        for j in range(k + 1, n):
+            if a[k][j]:
+                col_addmul(j, k, -a[k][j] / d)
+    return a, p
+
+
+def signature(sym):
+    """Exact (positive, negative, zero) inertia counts of a symmetric matrix."""
+    d, _ = congruence_diagonalize(sym)
+    pos = sum(1 for i in range(len(d)) if d[i][i] > 0)
+    neg = sum(1 for i in range(len(d)) if d[i][i] < 0)
+    return pos, neg, len(d) - pos - neg

@@ -25,12 +25,13 @@ from hermquat.errors import (
     BStabilityError,
     DegenerateFormError,
     InputError,
+    MembershipError,
     NotHermitianError,
     NotIntegralError,
     RankError,
 )
 from hermquat import linalg
-from hermquat.hermitian import gram_on_basis
+from hermquat.hermitian import gram_on_basis, vec_coords
 from tests_fixtures import CLOSED_FORM_FIELDS, random_b_stable_pairs
 
 F7 = QuadField(-7)
@@ -191,6 +192,51 @@ class TestLattices:
         )
         with pytest.raises(BStabilityError):
             Lattice(F7, basis)
+
+
+class TestLatticeIntegerKernel:
+    """Coordinates, membership and the omega matrix from integer numerators,
+    against the Fraction inverse of the coordinate rows."""
+
+    def test_matches_fraction_inverse(self):
+        rng = random.Random(16)
+        for _, lattice in random_b_stable_pairs(16, 60):
+            field = lattice.field
+            inv = linalg.mat_inverse(lattice.coord_rows())
+            omega = field.omega()
+            assert lattice.omega_rows() == [
+                linalg.vec_mat(vec_coords(vec_scale(omega, v)), inv) for v in lattice.basis
+            ]
+            for _ in range(5):
+                x = vec(
+                    field,
+                    field.elem(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3))),
+                               Fraction(rng.randint(-6, 6), rng.choice((1, 2)))),
+                    field.elem(rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.choice((1, 3)))),
+                )
+                coords = linalg.vec_mat(vec_coords(x), inv)
+                assert lattice.coords_of(x) == coords
+                assert lattice.contains(x) == linalg.is_integral_vector(coords)
+                c = [rng.randint(-4, 4) for _ in range(4)]
+                assert lattice.contains(lattice.from_integer_coords(c))
+                assert lattice.coords_of(lattice.from_integer_coords(c)) == c
+
+    def test_index_matches_fraction_determinants(self):
+        rng = random.Random(17)
+        std = Lattice.standard(F7)
+        for _ in range(20):
+            v1, v2 = (
+                vec(F7, *(F7.elem(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(2)))
+                for _ in range(2)
+            )
+            if v1[0] * v2[1] - v1[1] * v2[0] == 0:
+                continue
+            sub = lattice_from_B_basis(v1, v2)
+            index = std.index_of_sublattice(sub)
+            assert index == abs(linalg.mat_det(sub.coord_rows()) / linalg.mat_det(std.coord_rows()))
+            if index > 1:
+                with pytest.raises(MembershipError):
+                    sub.index_of_sublattice(std)
 
 
 class TestIntegrality:
@@ -359,7 +405,8 @@ class TestDefiniteness:
             field = QuadField(d)
             for _ in range(25):
                 space = random_space(rng, field, height=2)
-                pos, neg, zero = linalg.signature(space.gram4())
+                gram, _ = linalg.scaled_integer_matrix(space.gram4())
+                pos, neg, zero = linalg.int_signature(gram)
                 if zero:
                     expected = Definiteness.DEGENERATE
                 else:
@@ -378,7 +425,8 @@ class TestIntegralForm:
             integral += 1
             form = IntegralForm(space, lattice)
             assert form.delta == discriminant_form(space, lattice)
-            pos, neg, _ = linalg.signature(space.gram4())
+            gram, _ = linalg.scaled_integer_matrix(space.gram4())
+            pos, neg, _ = linalg.int_signature(gram)
             indefinite = (pos, neg) == (2, 2)
             assert (form.definiteness is Definiteness.INDEFINITE) == indefinite
             assert form.definiteness is space.definiteness()

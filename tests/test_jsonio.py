@@ -105,3 +105,13 @@ class TestValidation:
         obj["mult_table"][1][1][0] = "99"
         with pytest.raises(InputError):
             jsonio.parse_order(obj)
+
+    def test_short_or_long_vectors_rejected(self):
+        order, emb = m2z_order()
+        for key, bad in (("one", ["1", "0", "0"]), ("one", ["1", "0", "0", "1", "0"]),
+                         ("omega_image", ["0", "-1", "1"]),
+                         ("omega_image", ["0", "-1", "1", "1", "0"])):
+            obj = jsonio.order_obj(order, emb)
+            obj[key] = bad
+            with pytest.raises(InputError):
+                jsonio.parse_order(obj)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_reference import congruence_diagonalize, identity_matrix, signature
 from hermquat import linalg
 from hermquat.errors import InputError, RankError
 
@@ -73,13 +74,13 @@ class TestHnf:
 class TestCongruenceDiagonalize:
     def test_diagonal_fixed(self):
         s = frac_mat([[1, 0], [0, -1]])
-        d, p = linalg.congruence_diagonalize(s)
+        d, p = congruence_diagonalize(s)
         assert d == s
-        assert p == linalg.identity_matrix(2)
+        assert p == identity_matrix(2)
 
     def test_hyperbolic_plane(self):
         s = frac_mat([[0, 1], [1, 0]])
-        d, p = linalg.congruence_diagonalize(s)
+        d, p = congruence_diagonalize(s)
         # oracle: evaluate the form on the columns of P
         cols = linalg.mat_transpose(p)
         values = [linalg.evaluate_quadratic(s, c) for c in cols]
@@ -88,7 +89,7 @@ class TestCongruenceDiagonalize:
 
     def test_four_by_four_diagonal(self):
         s = frac_mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 5, 0], [0, 0, 0, 5]])
-        d, p = linalg.congruence_diagonalize(s)
+        d, p = congruence_diagonalize(s)
         assert d == s
 
     def test_exact_congruence_random(self):
@@ -100,7 +101,7 @@ class TestCongruenceDiagonalize:
                 s[i][i] = Fraction(rng.randint(-4, 4))
                 for j in range(i + 1, n):
                     s[i][j] = s[j][i] = Fraction(rng.randint(-4, 4), rng.choice((1, 2)))
-            d, p = linalg.congruence_diagonalize(s)
+            d, p = congruence_diagonalize(s)
             assert linalg.mat_det(p) != 0
             assert linalg.mat_mul(linalg.mat_mul(linalg.mat_transpose(p), s), p) == d
             for i in range(n):
@@ -110,33 +111,130 @@ class TestCongruenceDiagonalize:
 
 
 class TestSignature:
+    """``linalg.int_signature`` against the Fraction reference ``signature``."""
+
     def test_definite(self):
-        assert linalg.signature(frac_mat([[1, 0], [0, 1]])) == (2, 0, 0)
-        assert linalg.signature(
-            frac_mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        ) == (4, 0, 0)
+        for m in ([[1, 0], [0, 1]], linalg.int_identity(4)):
+            assert linalg.int_signature(m) == signature(frac_mat(m)) == (len(m), 0, 0)
 
     def test_split(self):
-        assert linalg.signature(
-            frac_mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-        ) == (2, 2, 0)
+        m = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]
+        assert linalg.int_signature(m) == signature(frac_mat(m)) == (2, 2, 0)
 
     def test_degenerate(self):
-        assert linalg.signature(frac_mat([[0, 0], [0, 3]])) == (1, 0, 1)
+        assert linalg.int_signature([[0, 0], [0, 3]]) == signature(frac_mat([[0, 0], [0, 3]]))
+        assert linalg.int_signature([[0, 0], [0, 3]]) == (1, 0, 1)
+
+    def test_hyperbolic_plane(self):
+        # no non-zero diagonal pivot: the reference needs its off-diagonal step
+        assert linalg.int_signature([[0, 1], [1, 0]]) == signature(frac_mat([[0, 1], [1, 0]]))
+        assert linalg.int_signature([[0, 1], [1, 0]]) == (1, 1, 0)
+
+    def test_matches_reference_random(self):
+        rng = random.Random(29)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            s = [[0] * n for _ in range(n)]
+            for i in range(n):
+                s[i][i] = rng.choice((0, 0, rng.randint(-5, 5)))
+                for j in range(i + 1, n):
+                    s[i][j] = s[j][i] = rng.randint(-4, 4)
+            pos, neg, zero = linalg.int_signature(s)
+            assert (pos, neg, zero) == signature(frac_mat(s))
+            singular += zero > 0
+        assert singular >= 30
+
+    def test_rank_one_and_zero(self):
+        v = [1, -2, 3, 0]
+        outer = [[x * y for y in v] for x in v]
+        assert linalg.int_signature(outer) == (1, 0, 3)
+        assert linalg.int_signature([[-x for x in row] for row in outer]) == (0, 1, 3)
+        assert linalg.int_signature([[0] * 3 for _ in range(3)]) == (0, 0, 3)
+
+    def test_not_symmetric_rejected(self):
+        with pytest.raises(InputError):
+            linalg.int_signature([[1, 2], [3, 4]])
 
     def test_congruence_invariance(self):
         rng = random.Random(23)
         for _ in range(25):
             n = 4
-            s = [[Fraction(0)] * n for _ in range(n)]
+            s = [[0] * n for _ in range(n)]
             for i in range(n):
-                s[i][i] = Fraction(rng.randint(-3, 3))
+                s[i][i] = rng.randint(-3, 3)
                 for j in range(i + 1, n):
-                    s[i][j] = s[j][i] = Fraction(rng.randint(-3, 3))
+                    s[i][j] = s[j][i] = rng.randint(-3, 3)
             while True:
-                t = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+                t = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
                 if linalg.mat_det(t) != 0:
                     break
             moved = linalg.mat_mul(linalg.mat_mul(linalg.mat_transpose(t), s), t)
-            assert linalg.signature(moved) == linalg.signature(s)
+            assert linalg.int_signature(moved) == linalg.int_signature(s)
+            assert linalg.int_signature(s) == signature(frac_mat(s))
 
+
+def _random_int_matrix(rng, n, kind):
+    """A random n x n integer matrix: generic, singular, or with a zero pivot."""
+    m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    if kind == "singular" and n > 1:
+        i, j = rng.sample(range(n), 2)
+        c = rng.randint(-3, 3)
+        m[i] = [c * x for x in m[j]]
+    elif kind == "zero pivot":
+        m[0][0] = 0
+        if n > 1 and rng.random() < 0.5:
+            m[1][0] = 0
+    return m
+
+
+class TestIntegerKernel:
+    """``int_det`` and ``int_adjugate`` against the Fraction ``mat_det`` and
+    ``mat_inverse``."""
+
+    KINDS = ("generic", "singular", "zero pivot")
+
+    def test_det_matches_fraction_reference(self):
+        rng = random.Random(31)
+        zeros = 0
+        for k in range(600):
+            n = 1 + k % 4
+            m = _random_int_matrix(rng, n, self.KINDS[k % 3])
+            det = linalg.int_det(m)
+            assert type(det) is int
+            assert det == linalg.mat_det(m)
+            zeros += det == 0
+        assert zeros >= 150
+
+    def test_adjugate_identities(self):
+        rng = random.Random(37)
+        for k in range(600):
+            n = 1 + k % 4
+            m = _random_int_matrix(rng, n, self.KINDS[k % 3])
+            adj, det = linalg.int_adjugate(m)
+            assert det == linalg.int_det(m)
+            scalar = [[det * int(i == j) for j in range(n)] for i in range(n)]
+            assert linalg.mat_mul(adj, m) == scalar
+            assert linalg.mat_mul(m, adj) == scalar
+            if det:
+                inv = linalg.mat_inverse(m)
+                assert adj == [[x * det for x in row] for row in inv]
+            else:
+                with pytest.raises(RankError):
+                    linalg.mat_inverse(m)
+
+    def test_adjugate_of_singular_matrix(self):
+        # rank n - 1: the adjugate is non-zero and its rows span the left kernel
+        m = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        adj, det = linalg.int_adjugate(m)
+        assert det == 0
+        assert any(x for row in adj for x in row)
+        assert linalg.mat_mul(adj, m) == [[0] * 3 for _ in range(3)]
+        assert linalg.int_adjugate([[0]]) == ([[1]], 0)
+        assert linalg.int_adjugate([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], 0)
+
+    def test_zero_leading_pivot(self):
+        m = [[0, 1, 2], [3, 0, 1], [1, 1, 0]]
+        assert linalg.int_det(m) == linalg.mat_det(m) == 7
+        adj, det = linalg.int_adjugate(m)
+        assert adj == [[x * 7 for x in row] for row in linalg.mat_inverse(m)]

@@ -119,3 +119,11 @@ class TestSplitting:
                 else:
                     assert kind is SplitType.INERT
         _ = rng
+
+    def test_ramified_primes_are_the_primes_of_d(self):
+        for d in (-1, -2, -3, -5, -6, -7, -15, -30, -105):
+            field = QuadField(d)
+            primes = [p for p in range(2, 8 * abs(d)) if field.D % p == 0
+                      and all(p % q for q in range(2, p))]
+            assert field.ramified_primes == tuple(primes)
+            assert all(splitting(field, p) is SplitType.RAMIFIED for p in primes)

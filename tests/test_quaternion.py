@@ -1,10 +1,13 @@
+import fractions
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from hermquat import (
     Definiteness,
+    Embedding,
     HermSpace,
     Lattice,
     QuadField,
@@ -36,12 +39,15 @@ from hermquat.errors import (
     MembershipError,
     RankError,
 )
+from hermquat.represent import VERDICT_REPRESENTED, represents_one_integral
+from hermquat.sweep import surviving_forms
 from hermquat.verify import random_pointed_space
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
 
 
+from fraction_reference import identity_matrix
 from tests_fixtures import (
     CLOSED_FORM_FIELDS,
     hurwitz_order,
@@ -317,6 +323,12 @@ class TestIntegerKernel:
             for o in (order, _reparsed(rng, order)):
                 assert o.products == _reference_products(o.algebra, o.zbasis)
                 assert all(type(c) is int for row in o.products for p in row for c in p)
+                zinv = linalg.mat_inverse(o.zbasis)
+                for x in ([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(4)],
+                          o.element([rng.randint(-3, 3) for _ in range(4)])):
+                    coords = linalg.vec_mat(x, zinv)
+                    assert o.coords_of(x) == coords
+                    assert o.contains(x) == linalg.is_integral_vector(coords)
         assert built >= 30
         for order, _ in (m2z_order(), hurwitz_order()):
             for o in (order, _reparsed(rng, order), _reparsed(rng, order)):
@@ -389,10 +401,82 @@ class TestIntegerKernel:
             field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
             space, point = random_pointed_space(rng, field)
             alg = build_algebra(space, point)
-            assert linalg.mat_mul(alg.frame, alg._frame_inv) == linalg.identity_matrix(4)
+            fin, q = alg._frame_inv
+            frame_inv = [[Fraction(x, q) for x in row] for row in fin]
+            assert linalg.mat_mul(alg.frame, frame_inv) == identity_matrix(4)
             for _ in range(5):
                 x = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(4)]
                 assert alg.from_space(alg.to_space(x)) == x
+
+    def test_frame_and_theta_match_qelem_reference(self):
+        # the integer build against the QElem construction it replaced:
+        # w = e1 (e2 when point[1] = 0), u = w - s(w, point)*point,
+        # theta = -h(u), frame rows (point, w*point, u, w*u)
+        rng = random.Random(46)
+        for k in range(40):
+            field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
+            space, point = random_pointed_space(rng, field)
+            alg = build_algebra(space, point)
+            e1, e2 = vec(field, 1, 0), vec(field, 0, 1)
+            w = e1 if point[1] != 0 else e2
+            u = vec_sub(w, vec_scale(space.s_value(w, point), point))
+            omega = field.omega()
+            frame = [point, vec_scale(omega, point), u, vec_scale(omega, u)]
+            assert alg.theta == -space.h_value(u)
+            assert alg.frame == [[x.a, x.b, y.a, y.b] for x, y in frame]
+
+    def test_embedding_rejects_bad_omega_image(self):
+        order, emb = m2z_order()
+        Embedding(order, emb.omega_image)
+        with pytest.raises(InputError, match="integer coordinates"):
+            Embedding(order, [0, Fraction(-1, 2), 1, 1])
+        # the integer check on the products against w^2 + a*w + b in the algebra
+        rng = random.Random(47)
+        alg = order.algebra
+        field = alg.field
+        rejected = 0
+        for _ in range(200):
+            image = [rng.randint(-2, 2) for _ in range(4)]
+            w = order.element(image)
+            lhs = [x + field.min_a * y + field.min_b * o
+                   for x, y, o in zip(alg.mul(w, w), w, alg.one)]
+            if any(lhs):
+                rejected += 1
+                with pytest.raises(InputError, match="minimal polynomial"):
+                    Embedding(order, image)
+            else:
+                Embedding(order, image)
+        assert 150 <= rejected < 200
+        with pytest.raises(InputError, match="4 coordinates"):
+            Embedding(order, [0, -1, 1])
+
+    def test_fraction_calls_per_order_bounded(self):
+        # build_order plus the order discriminant run on integers: count the
+        # calls into fractions.py over a fixed sample of d = -7, h = 2 rows
+        rows = []
+        for *_, space, lattice, _ in surviving_forms(F7, 2):
+            report = represents_one_integral(space, lattice)
+            if report.verdict == VERDICT_REPRESENTED:
+                rows.append((space, lattice, report.witness))
+            if len(rows) == 40:
+                break
+        calls = 0
+        source = fractions.__file__
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_filename == source:
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for space, lattice, point in rows:
+                build_order(space, lattice, point)[0].discriminant()
+        finally:
+            sys.setprofile(previous)
+        assert len(rows) == 40
+        assert calls <= 1000 * len(rows)
 
 
 class TestRoundTrips:
@@ -541,7 +625,7 @@ class TestChangePoint:
         std = Lattice.standard(F7)
         v = vec(F7, 1, 0)
         iso = change_point(space, std, v, v)
-        assert iso.matrix_q == linalg.identity_matrix(4)
+        assert iso.matrix_q == identity_matrix(4)
 
     def test_split_form_isometry(self):
         # u = (omega, 1): h(u) = n(omega) - 1 = 1 over d = -7

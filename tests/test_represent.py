@@ -33,7 +33,7 @@ from hermquat.errors import (
     UnsupportedRamificationError,
 )
 from hermquat.hermitian import gram_on_basis
-from hermquat import represent
+from hermquat import hermitian, represent
 from hermquat.represent import (
     METHOD_DIRECT_HENSEL,
     METHOD_RAMIFIED_DIAGONAL,
@@ -437,7 +437,7 @@ class TestLocalCertificates:
         count = 0
         for d in (-3, -7, -11, -15):
             for *_, space, lattice, delta in surviving_forms(QuadField(d), 2):
-                for p in local_prime_set(space.field, delta) + [13, 4]:
+                for p in local_prime_set(space.integral_form(lattice)) + [13, 4]:
                     digest.update(_local_line(space, lattice, p))
                     count += 1
         assert (count, digest.hexdigest()) == (7368, self.SWEEP)
@@ -585,18 +585,26 @@ class TestPipeline:
 
     def test_exhausted_indefinite_factors_delta_once(self, monkeypatch):
         calls = []
-        real = represent.factorint
-        monkeypatch.setattr(represent, "factorint", lambda n: calls.append(n) or real(n))
-        report = represents_one_integral(
-            self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2)
-        )
+        real = hermitian.factorint
+        monkeypatch.setattr(hermitian, "factorint", lambda n: calls.append(n) or real(n))
+        # fresh spaces, so that no record kept on a space has factored yet
+        space = HermSpace(F7, 3, -10007, F7.zero())
+        report = represents_one_integral(space, STD7, RepresentConfig(search_bound=2))
         assert report.verdict == VERDICT_SEARCH_EXHAUSTED
-        # only local_prime_set factors, 2*|D|*|Delta|: the local tests at its
-        # primes already proved |Delta| square-free
-        assert calls == [2 * 7 * 210147]
+        # the record factors |Delta| once for local_prime_set, which joins
+        # 2 and the field's ramified primes; the local tests at those primes
+        # already proved |Delta| square-free
+        assert calls == [210147]
         calls.clear()
         report = represents_one_integral(
-            self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2, primes=self.OWN_PRIMES)
+            space, STD7, RepresentConfig(search_bound=2, primes=self.OWN_PRIMES)
+        )
+        assert report.verdict == VERDICT_SEARCH_EXHAUSTED
+        # the same record answers the square-free question without factoring
+        assert calls == []
+        fresh = HermSpace(F7, 3, -10007, F7.zero())
+        report = represents_one_integral(
+            fresh, STD7, RepresentConfig(search_bound=2, primes=self.OWN_PRIMES)
         )
         assert report.verdict == VERDICT_SEARCH_EXHAUSTED
         # a caller's prime set proves nothing about |Delta|, so it is factored
