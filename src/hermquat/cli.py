@@ -225,7 +225,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="invariants of a form file")
     p.add_argument("form")
     common(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("build-order", help="order and embedding from a pointed form")
     p.add_argument("form")
@@ -233,18 +232,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--find-point", action="store_true")
     p.add_argument("--search-bound", type=int, default=50)
     common(p)
-    p.set_defaults(func=cmd_build_order)
 
     p = sub.add_parser("from-order", help="pointed form from an embedded order")
     p.add_argument("order")
     common(p)
-    p.set_defaults(func=cmd_from_order)
 
     p = sub.add_parser("represent-one", help="decide h = 1 on the lattice")
     p.add_argument("form")
     p.add_argument("--search-bound", type=int, default=50)
     common(p)
-    p.set_defaults(func=cmd_represent_one)
 
     p = sub.add_parser("sweep", help="enumerate forms and run the full pipeline")
     p.add_argument("--d", type=int, required=True)
@@ -253,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--search-bound", type=int, default=50)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run the seeded property suites")
     p.add_argument(
@@ -262,19 +257,23 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if getattr(args, "height", 1) <= 0 or getattr(args, "search_bound", 1) <= 0:
         print("error: bounds must be positive", file=sys.stderr)
         return EXIT_INPUT
+    # looked up by name at call time, so that a rebound cmd_* function (a
+    # tracer's wrapper) runs although the parser is built once
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InvariantViolation:
         raise  # a falsified identity must crash loudly, not map to an exit code
     except Error as exc:

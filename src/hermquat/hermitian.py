@@ -489,8 +489,7 @@ def det_form(space: HermSpace, lattice: Lattice, start: int = 0) -> DiscValue:
 
 def discriminant_form(space: HermSpace, lattice: Lattice) -> DiscValue:
     """Delta(Lambda, h) = D * d(Lambda, h); an integer for integral forms."""
-    if not is_integral(space, lattice):
-        raise NotIntegralError("form is not integral on the lattice")
+    space.integral_form(lattice)  # raises unless h is integral and nondegenerate
     d = det_form(space, lattice)
     value = space.field.D * d.value
     if value.denominator != 1:

@@ -90,26 +90,6 @@ def mat_inverse(m):
     return [row[n:] for row in a]
 
 
-def mat_rank(m) -> int:
-    a = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    for j in range(cols):
-        piv = next((i for i in range(rank, rows) if a[i][j]), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][j]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][j]:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
 def is_integral_vector(v) -> bool:
     return all(Fraction(x).denominator == 1 for x in v)
 

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from . import linalg
 from .errors import (
-    BStabilityError,
     ClosureError,
     DegenerateFormError,
     InputError,
@@ -36,7 +35,7 @@ from .hermitian import (
     vec_from_coords,
     vec_scale,
 )
-from .qfield import QElem, QuadField
+from .qfield import QuadField
 
 
 def _table_numerators(a, b, theta: Fraction):
@@ -77,13 +76,13 @@ class QuatAlgebra:
     rationals.  Only ``canonical`` sets ``theta`` (u^2 = theta), and only
     ``build_algebra`` sets the frame (rows = V-coordinates of the algebra
     basis) and its inverse, both as integer numerators over one
-    denominator; the closed-form norm Gram relies on ``theta`` describing
-    the table, so a parsed table never carries it.
+    denominator.  The norm form is read from the trace table alike for
+    canonical and parsed tables, and kept once built.
     """
 
     __slots__ = (
-        "field", "one", "theta", "_frame", "_frame_inv", "_trace_vec",
-        "_tn", "_td", "_trace_n",
+        "field", "one", "theta", "_frame", "_frame_inv", "_trace_v",
+        "_tn", "_td", "_trace_n", "_norm",
     )
 
     def __init__(self, field, table, one=None, validate=False):
@@ -111,9 +110,9 @@ class QuatAlgebra:
         self.theta = None
         self._frame = None
         self._frame_inv = None
-        # reduced_trace(x) = <x, _trace_vec> / 2 since tr(L_x) is linear in x
-        tv = [sum(tn[i][j][j] for j in range(4)) for i in range(4)]
-        self._trace_vec = [Fraction(t, td) for t in tv]
+        self._norm = None
+        # trd(x) = <x, _trace_v> / (2 * _td) since tr(L_x) is linear in x
+        tv = self._trace_v = [sum(tn[i][j][j] for j in range(4)) for i in range(4)]
         # trace Gram trd(e_a * e_b) = _trace_n[a][b] / (2 * _td^2)
         self._trace_n = [[sum(map(mul, tn[a][b], tv)) for b in range(4)] for a in range(4)]
 
@@ -151,9 +150,16 @@ class QuatAlgebra:
         return out if td == 1 else [v / td for v in out]
 
     def is_identity(self, e) -> bool:
-        return all(
-            self.mul(e, b) == b and self.mul(b, e) == b for b in _std_basis()
-        )
+        """Whether e is a two-sided identity, on the integer table: for
+        e = en / ed, e * e_b = sum_i en_i * tn[i][b] / (ed * td) and
+        e_b * e = sum_j en_j * tn[b][j] / (ed * td) must both be e_b.
+        """
+        (en,), ed = linalg.scaled_integer_matrix([e])
+        tn = self._tn
+        unit = [[ed * self._td * (i == j) for j in range(4)] for i in range(4)]
+        left = [linalg.vec_mat(en, [tn[i][b] for i in range(4)]) for b in range(4)]
+        right = [linalg.vec_mat(en, tn[b]) for b in range(4)]
+        return left == unit == right
 
     def associativity_failures(self):
         """Triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
@@ -174,53 +180,52 @@ class QuatAlgebra:
         return fails
 
     def reduced_trace(self, x) -> Fraction:
-        t = self._trace_vec
-        return (x[0] * t[0] + x[1] * t[1] + x[2] * t[2] + x[3] * t[3]) / 2
+        return Fraction(sum(map(mul, x, self._trace_v)), 2 * self._td)
 
     def conj(self, x):
         t = self.reduced_trace(x)
         return [t * o - xi for o, xi in zip(self.one, x)]
 
     def reduced_norm(self, x) -> Fraction:
-        z = self.mul(x, self.conj(x))
-        k = next(i for i in range(4) if self.one[i])
-        c = z[k] / self.one[k]
-        if z != [c * o for o in self.one]:
-            raise InvariantViolation("x * conj(x) is not a scalar; not a quaternion algebra")
-        return c
-
-    def norm_bilinear(self, x, y) -> Fraction:
-        xy = [a + b for a, b in zip(x, y)]
-        return self.reduced_norm(xy) - self.reduced_norm(x) - self.reduced_norm(y)
+        (xn,), xd = linalg.scaled_integer_matrix([x])
+        s, q = self._norm_gram_scaled()
+        return Fraction(sum(map(mul, linalg.vec_mat(xn, s), xn)), q * xd * xd)
 
     def norm_gram(self):
         """Gram matrix of the reduced norm on the basis of the table."""
-        if self.theta is not None:
-            return _rational(*self._norm_gram_scaled())
-        basis = _std_basis()
-        g = [[Fraction(0)] * 4 for _ in range(4)]
-        for i in range(4):
-            g[i][i] = self.reduced_norm(basis[i])
-            for j in range(i + 1, 4):
-                g[i][j] = g[j][i] = self.norm_bilinear(basis[i], basis[j]) / 2
-        return g
+        return _rational(*self._norm_gram_scaled())
 
     def _norm_gram_scaled(self):
         """Integers (S, q), q > 0, with norm_gram() = S / q.
 
-        For a canonical algebra n(x + y*u) = n(x) - theta*n(y), so the Gram
-        is blockdiag(N, -theta*N) with 2N = [[2, -a], [-a, 2b]] the doubled
-        norm Gram of B on (1, omega); with theta = t/s it is
-        blockdiag(s*2N, -t*2N) / (2s).
+        In a quaternion algebra n(x) = (trd(x)^2 - trd(x^2)) / 2, so with
+        trd(x) = x.t / (2*td) and trd(x^2) = x.T.x / (2*td^2) for the trace
+        vector t and trace Gram T, S = t.t^T - T - T^T over q = 8*td^2.  On
+        first use the table is checked to make x * conj(x) = n(x) * 1 for
+        every x, by polarization: e_a*conj(e_b) + e_b*conj(e_a) = b(e_a, e_b)
+        * 1 for all a <= b, with b(x, y) = 2 * x.S.y / q.
         """
-        if self.theta is None:
-            return linalg.scaled_integer_matrix(self.norm_gram())
-        ma, mb = self.field.min_a, self.field.min_b
-        t, s = self.theta.numerator, self.theta.denominator
-        n2 = ((2, -ma), (-ma, 2 * mb))
-        return [
-            [s * x for x in row] + [0, 0] for row in n2
-        ] + [[0, 0] + [-t * x for x in row] for row in n2], 2 * s
+        if self._norm is not None:
+            return self._norm
+        t, tr, tn, td = self._trace_v, self._trace_n, self._tn, self._td
+        s = [[t[a] * t[b] - tr[a][b] - tr[b][a] for b in range(4)] for a in range(4)]
+        # with one = on / od and by_one[a] = td*od * (e_a * 1), the check
+        # scaled by 4*td^2*od reads S[a][b] * on = 2 * (t_b * by_one[a] +
+        # t_a * by_one[b] - 2*td*od * (tn[a][b] + tn[b][a]))
+        (on,), od = linalg.scaled_integer_matrix([self.one])
+        by_one = [linalg.vec_mat(on, row) for row in tn]
+        for a in range(4):
+            for b in range(a, 4):
+                lhs = [
+                    2 * (t[b] * x + t[a] * y - 2 * td * od * (p + r))
+                    for x, y, p, r in zip(by_one[a], by_one[b], tn[a][b], tn[b][a])
+                ]
+                if lhs != [s[a][b] * o for o in on]:
+                    raise InvariantViolation(
+                        "x * conj(x) is not a scalar; not a quaternion algebra"
+                    )
+        self._norm = (s, 8 * td * td)
+        return self._norm
 
     def scalar(self, c):
         return [Fraction(c) * o for o in self.one]
@@ -456,33 +461,26 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
     field = alg.field
     if emb.order is not order:
         raise InputError("embedding belongs to a different order")
+    # w = sum c_i z_i with integer c_i and the order is closed, so w * z
+    # stays in the order: the lattice is B-stable
     w = emb.omega_alg()
-    for z in order.zbasis:
-        if not order.contains(alg.mul(w, z)):
-            raise BStabilityError("order is not a module over the ring of integers")
     if alg.reduced_norm(alg.one) != 1:
         raise InvariantViolation("identity has reduced norm != 1")
 
     omega = field.omega()
     oc = omega.conj()
     denom = oc - omega
-
-    def i_of(l: QElem):
-        return [l.a * o + l.b * wi for o, wi in zip(alg.one, w)]
-
-    def s_of(x, y) -> QElem:
-        bxy = alg.norm_bilinear(x, y)
-        blx = alg.norm_bilinear(alg.mul(w, x), y)
-        return (oc * bxy - blx) / denom
-
-    span = [alg.one, w]
-    u = None
+    # s(eps, 1) from b(y, 1) = 2 * y.N.1 with N = norm_gram() = S / q.  The
+    # projection eps - s(eps, 1)*1 off L*1 vanishes only on L*1, a plane, so
+    # some standard basis vector has a non-zero one; u is the first.  On L*1
+    # n is anisotropic, so the projection vanishes there exactly.
+    s, q = alg._norm_gram_scaled()
+    n_one = [Fraction(2 * x, q) for x in linalg.vec_mat(alg.one, s)]
     for eps in _std_basis():
-        if linalg.mat_rank(span + [eps]) == 3:
-            u = [e - c for e, c in zip(eps, i_of(s_of(eps, alg.one)))]
+        sl = (oc * sum(map(mul, eps, n_one)) - sum(map(mul, alg.mul(w, eps), n_one))) / denom
+        u = [e - sl.a * o - sl.b * wi for e, o, wi in zip(eps, alg.one, w)]
+        if any(u):
             break
-    if u is None:
-        raise InvariantViolation("algebra is not 2-dimensional over the field")
     theta = -alg.reduced_norm(u)
     if theta == 0:
         raise DegenerateFormError("norm form degenerate on the orthogonal line")

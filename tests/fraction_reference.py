@@ -1,9 +1,10 @@
-"""Fraction reference for the integer kernel's signature: congruence
-diagonalization over the rationals.
+"""Fraction references for the integer kernel.
 
 The package computes inertia with ``linalg.int_signature`` (Descartes' rule
-on the characteristic polynomial); the tests compare it with this
-independent elimination path.
+on the characteristic polynomial); the tests compare it with congruence
+diagonalization over the rationals.  It reads the reduced norm from the
+trace table, n(x) = (trd(x)^2 - trd(x^2)) / 2; the tests compare it with
+the scalar x * conj(x) computed by the algebra's own multiplication.
 """
 
 from fractions import Fraction
@@ -73,3 +74,26 @@ def signature(sym):
     pos = sum(1 for i in range(len(d)) if d[i][i] > 0)
     neg = sum(1 for i in range(len(d)) if d[i][i] < 0)
     return pos, neg, len(d) - pos - neg
+
+
+def reduced_norm(alg, x) -> Fraction:
+    """n(x) from x * conj(x) = n(x) * 1, through ``alg.mul`` and ``alg.conj``."""
+    z = alg.mul(x, alg.conj(x))
+    k = next(i for i in range(4) if alg.one[i])
+    c = z[k] / alg.one[k]
+    if z != [c * o for o in alg.one]:
+        raise AssertionError("x * conj(x) is not a scalar")
+    return c
+
+
+def norm_gram(alg):
+    """The norm Gram by polarization: n(e_a) and b(e_a, e_b) / 2 from n(e_a + e_b)."""
+    basis = identity_matrix(4)
+    n = [reduced_norm(alg, e) for e in basis]
+    g = [[Fraction(0)] * 4 for _ in range(4)]
+    for a in range(4):
+        g[a][a] = n[a]
+        for b in range(a + 1, 4):
+            both = [x + y for x, y in zip(basis[a], basis[b])]
+            g[a][b] = g[b][a] = (reduced_norm(alg, both) - n[a] - n[b]) / 2
+    return g

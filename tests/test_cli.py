@@ -4,9 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hermquat
-from hermquat import HermSpace, Lattice, QuadField, jsonio
+from hermquat import HermSpace, Lattice, QuadField, cli, jsonio
 from hermquat.cli import main
+from hermquat.errors import InvariantViolation
 from tests_fixtures import m2z_order
 
 F7 = QuadField(-7)
@@ -17,6 +20,20 @@ def write_form(tmp_path, space, name="form.json", point=None, lattice=None):
     obj = jsonio.form_obj(space, lattice, point)
     path = tmp_path / name
     path.write_text(jsonio.dumps(obj))
+    return str(path)
+
+
+def write_order(tmp_path, d, table, one, omega_image):
+    """An order file with Z-basis the table's basis."""
+    obj = {
+        "d": d,
+        "mult_table": [[[str(x) for x in e] for e in row] for row in table],
+        "zbasis": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+        "one": [str(x) for x in one],
+        "omega_image": [str(x) for x in omega_image],
+    }
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(obj))
     return str(path)
 
 
@@ -126,6 +143,31 @@ class TestFromOrder:
         path.write_text(jsonio.dumps(obj))
         code, _ = run_cli(["from-order", str(path)], capsys)
         assert code == 2
+
+    def test_non_quaternion_table_crashes(self, tmp_path):
+        # K x K for d = -7 on (1, omega, 1', omega'), componentwise: an
+        # associative algebra with an identity and an image of omega, in
+        # which x * conj(x) is not a scalar
+        a, b = F7.min_a, F7.min_b
+        block = [[[1, 0], [0, 1]], [[0, 1], [-b, -a]]]
+        table = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        for k in (0, 2):
+            for i in range(2):
+                for j in range(2):
+                    table[k + i][k + j][k : k + 2] = block[i][j]
+        path = write_order(tmp_path, -7, table, [1, 0, 1, 0], [0, 1, 0, 1])
+        with pytest.raises(InvariantViolation):
+            main(["from-order", path])
+        order, _ = jsonio.parse_order(json.loads(Path(path).read_text()))
+        with pytest.raises(InvariantViolation):
+            order.algebra.reduced_norm([0, 1, 0, 0])
+
+    def test_no_omega_image_in_q4_exit_2(self, tmp_path, capsys):
+        # Q^4, componentwise: omega has no image, x^2 - x + 2 has no rational root
+        table = [[[int(i == j == k) for k in range(4)] for j in range(4)] for i in range(4)]
+        path = write_order(tmp_path, -7, table, [1, 1, 1, 1], [0, 1, 0, 0])
+        assert main(["from-order", path]) == 2
+        assert "minimal polynomial" in capsys.readouterr().err
 
     def test_round_trip_byte_identical(self, tmp_path, capsys):
         # from-order then build-order at the same point reproduces the
@@ -258,6 +300,27 @@ class TestVerify:
         assert code == 1
         assert "polarize: FAIL" in out
         assert "synthetic" in out
+
+
+class TestSuccessiveCalls:
+    def test_no_state_carries_over(self, tmp_path, capsys, monkeypatch):
+        # main parses with one parser: a sweep's arguments and defaults do
+        # not reach the next call, on another subcommand
+        out = tmp_path / "sweep.json"
+        code, printed = run_cli(
+            ["sweep", "--d", "-7", "--height", "1", "--format", "json", "--out", str(out)], capsys
+        )
+        assert code == 0 and printed == ""
+        assert json.loads(out.read_text())
+        form = write_form(tmp_path, HermSpace(F7, 1, -1, F7.zero()))
+        seen = []
+        monkeypatch.setattr(cli, "cmd_analyze", lambda args: seen.append(vars(args)) or 0)
+        assert main(["analyze", form]) == 0
+        assert seen == [{"command": "analyze", "form": form, "format": "json", "out": None}]
+        monkeypatch.undo()
+        code, printed = run_cli(["analyze", form], capsys)
+        assert code == 0
+        assert json.loads(printed)["discriminant"]["value"] == "7"
 
 
 class TestConsoleScript:

@@ -1,9 +1,13 @@
+import contextlib
 import fractions
+import io
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
+import sympy
 
 from hermquat import (
     Definiteness,
@@ -32,6 +36,7 @@ from hermquat import (
     vec_sub,
 )
 from hermquat import jsonio, linalg
+from hermquat.cli import main
 from hermquat.errors import (
     ClosureError,
     DegenerateFormError,
@@ -47,6 +52,7 @@ F7 = QuadField(-7)
 F3 = QuadField(-3)
 
 
+import fraction_reference
 from fraction_reference import identity_matrix
 from tests_fixtures import (
     CLOSED_FORM_FIELDS,
@@ -72,6 +78,25 @@ class TestAlgebraTable:
             alg = QuatAlgebra(None, algebra_table(a, b, theta))
             assert alg.associativity_failures() == []
             assert alg.is_identity(alg.one)
+
+    def test_identity_must_be_two_sided(self):
+        # e_i * e_j = e_j makes every e_i a left identity and none a right
+        # one; e_i * e_j = e_i the other way round.  Both tables are associative.
+        left = [[[int(k == j) for k in range(4)] for j in range(4)] for _ in range(4)]
+        right = [[[int(k == i) for k in range(4)] for _ in range(4)] for i in range(4)]
+        for table in (left, right):
+            assert QuatAlgebra(F7, table).associativity_failures() == []
+            with pytest.raises(InputError, match="two-sided identity"):
+                QuatAlgebra(F7, table, validate=True)
+        # the integer test against products through mul, on a rational table
+        alg = QuatAlgebra(F7, algebra_table(1, 2, Fraction(3, 2)))
+        rng = random.Random(3)
+        for e in [alg.one, [Fraction(1, 2)] + [0] * 3] + [
+            [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(4)]
+            for _ in range(20)
+        ]:
+            expected = all(alg.mul(e, b) == b == alg.mul(b, e) for b in std_basis())
+            assert alg.is_identity(e) == expected
 
     def test_trace_matrix_determinant(self):
         # det of the trace pairing on (1, pi, u, pi*u) is -(a^2-4b)^2 theta^2
@@ -179,9 +204,23 @@ class TestCanonicalClosedForms:
                 yield alg, QuatAlgebra(field, alg.table)
 
     def test_norm_gram_matches_reduced_norm(self):
+        # the trace formula against n(x + y*u) = n_L(x) - theta*n_L(y), with
+        # the norm Gram N of B on (1, omega), on both copies of the table
         for alg, generic in self._pairs():
             assert generic.theta is None
-            assert alg.norm_gram() == generic.norm_gram()
+            ma, mb = alg.field.min_a, alg.field.min_b
+            n = [[Fraction(1), Fraction(-ma, 2)], [Fraction(-ma, 2), Fraction(mb)]]
+            closed = [row + [0, 0] for row in n] + [[0, 0] + [-alg.theta * x for x in row]
+                                                    for row in n]
+            assert alg.norm_gram() == closed
+            assert generic.norm_gram() == closed
+        # and against x * conj(x) through mul on tables in random bases
+        rng = random.Random(18)
+        orders = [order for order, _ in _built_orders(19, 40)]
+        orders += [m2z_order()[0], hurwitz_order()[0]]
+        for order in orders:
+            alg = _reparsed(rng, order)[0].algebra
+            assert alg.norm_gram() == fraction_reference.norm_gram(alg)
 
     def test_disc_sign_is_sign_of_theta(self):
         # n(x) - theta*n(y) is indefinite exactly when theta > 0
@@ -250,13 +289,13 @@ class TestBuildOrder:
 
 
 def _built_orders(seed, count):
-    """Orders built from integral pointed lattices over the eight fields."""
+    """Embedded orders built from integral pointed lattices over the eight fields."""
     for space, lattice in random_b_stable_pairs(seed, count):
         if not space.is_nondegenerate() or not is_integral(space, lattice):
             continue
         point = global_search(space, lattice, 2)
         if point is not None:
-            yield build_order(space, lattice, point)[0]
+            yield build_order(space, lattice, point)
 
 
 def _random_unimodular(rng):
@@ -276,31 +315,49 @@ def _random_invertible(rng):
             return m
 
 
-def _reparsed(rng, order):
-    """The order through parse_order, in random bases of the algebra and of Z^4.
+def _reparsed(rng, order, emb=None):
+    """(order, embedding) through parse_order, in random bases of the
+    algebra and of Z^4; the embedding is None unless ``emb`` is given.
 
     With e'_i = sum_k m[i][k] e_k the products e'_i e'_j are the rows of
     m . L_i . m^-1, where row l of L_i is e'_i e_l in old coordinates.
     """
     alg = order.algebra
+    old = alg.table
     m = _random_invertible(rng)
     m_inv = linalg.mat_inverse(m)
     table = []
     for i in range(4):
-        left = [linalg.vec_mat(m[i], [alg.table[k][l] for k in range(4)]) for l in range(4)]
+        left = [linalg.vec_mat(m[i], [old[k][l] for k in range(4)]) for l in range(4)]
         table.append(linalg.mat_mul(linalg.mat_mul(m, left), m_inv))
     u = _random_unimodular(rng)
+    u_inv = linalg.mat_inverse(u)
     obj = {
         "d": alg.field.d,
         "mult_table": [[[jsonio.rat_str(x) for x in e] for e in row] for row in table],
         "zbasis": [[jsonio.rat_str(x) for x in row]
                    for row in linalg.mat_mul(linalg.mat_mul(u, order.zbasis), m_inv)],
-        "one": [jsonio.rat_str(x)
-                for x in linalg.vec_mat(order.one_coords, linalg.mat_inverse(u))],
+        "one": [jsonio.rat_str(x) for x in linalg.vec_mat(order.one_coords, u_inv)],
     }
-    parsed, _ = jsonio.parse_order(obj)
-    assert parsed.algebra.theta is None
+    if emb is not None:
+        obj["omega_image"] = [jsonio.rat_str(x)
+                              for x in linalg.vec_mat(emb.omega_image, u_inv)]
+    parsed = jsonio.parse_order(obj)
+    assert parsed[0].algebra.theta is None
     return parsed
+
+
+def _represented_rows(count):
+    """The first ``count`` (space, lattice, witness) of the d = -7, h = 2
+    sweep whose verdict is represented."""
+    rows = []
+    for *_, space, lattice, _ in surviving_forms(F7, 2):
+        report = represents_one_integral(space, lattice)
+        if report.verdict == VERDICT_REPRESENTED:
+            rows.append((space, lattice, report.witness))
+            if len(rows) == count:
+                return rows
+    raise AssertionError(f"fewer than {count} represented rows")
 
 
 def _reference_products(alg, zbasis):
@@ -318,9 +375,9 @@ class TestIntegerKernel:
     def test_products_match_fraction_reference(self):
         rng = random.Random(41)
         built = 0
-        for order in _built_orders(42, 160):
+        for order, _ in _built_orders(42, 160):
             built += 1
-            for o in (order, _reparsed(rng, order)):
+            for o in (order, _reparsed(rng, order)[0]):
                 assert o.products == _reference_products(o.algebra, o.zbasis)
                 assert all(type(c) is int for row in o.products for p in row for c in p)
                 zinv = linalg.mat_inverse(o.zbasis)
@@ -331,7 +388,7 @@ class TestIntegerKernel:
                     assert o.contains(x) == linalg.is_integral_vector(coords)
         assert built >= 30
         for order, _ in (m2z_order(), hurwitz_order()):
-            for o in (order, _reparsed(rng, order), _reparsed(rng, order)):
+            for o in (order, _reparsed(rng, order)[0], _reparsed(rng, order)[0]):
                 assert o.products == _reference_products(o.algebra, o.zbasis)
 
     def test_not_closed_fails_at_reference_pair(self):
@@ -344,7 +401,7 @@ class TestIntegerKernel:
             # an integral theta makes B + B.u an order to reparse
             alg = QuatAlgebra.canonical(field, rng.choice((-5, -3, 2, 7)))
             if k % 2:
-                alg = _reparsed(rng, QuatOrder(alg, linalg.int_identity(4))).algebra
+                alg = _reparsed(rng, QuatOrder(alg, linalg.int_identity(4)))[0].algebra
             while True:
                 rows = [alg.one] + [
                     [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(4)]
@@ -377,7 +434,7 @@ class TestIntegerKernel:
         algebras += [m2z_order()[0].algebra, hurwitz_order()[0].algebra]
         algebras += [
             _reparsed(rng, QuatOrder(QuatAlgebra.canonical(QuadField(d), theta),
-                                     linalg.int_identity(4))).algebra
+                                     linalg.int_identity(4)))[0].algebra
             for d, theta in ((-1, 3), (-3, 2), (-7, -5), (-15, -1))
         ]
         for alg in algebras:
@@ -453,13 +510,7 @@ class TestIntegerKernel:
     def test_fraction_calls_per_order_bounded(self):
         # build_order plus the order discriminant run on integers: count the
         # calls into fractions.py over a fixed sample of d = -7, h = 2 rows
-        rows = []
-        for *_, space, lattice, _ in surviving_forms(F7, 2):
-            report = represents_one_integral(space, lattice)
-            if report.verdict == VERDICT_REPRESENTED:
-                rows.append((space, lattice, report.witness))
-            if len(rows) == 40:
-                break
+        rows = _represented_rows(40)
         calls = 0
         source = fractions.__file__
 
@@ -477,6 +528,47 @@ class TestIntegerKernel:
             sys.setprofile(previous)
         assert len(rows) == 40
         assert calls <= 1000 * len(rows)
+
+    def test_from_order_fraction_calls_bounded(self, tmp_path):
+        # from-order reads the reduced norm from the integer trace table:
+        # count the calls into fractions.py per call on 20 order files from
+        # d = -7, h = 2 rows, and every QuatAlgebra.mul under reduced_norm
+        # or norm_gram
+        paths = []
+        for k, row in enumerate(_represented_rows(20)):
+            path = tmp_path / f"order{k}.json"
+            path.write_text(jsonio.dumps(jsonio.order_obj(*build_order(*row))))
+            paths.append(str(path))
+        source = fractions.__file__
+        norm_codes = {QuatAlgebra.reduced_norm.__code__, QuatAlgebra.norm_gram.__code__}
+        calls = muls_under_norm = 0
+
+        def count(frame, event, arg):
+            nonlocal calls, muls_under_norm
+            if event != "call":
+                return
+            if frame.f_code.co_filename == source:
+                calls += 1
+            elif frame.f_code is QuatAlgebra.mul.__code__:
+                caller = frame.f_back
+                while caller is not None and caller.f_code not in norm_codes:
+                    caller = caller.f_back
+                muls_under_norm += caller is not None
+
+        per_call = []
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            for path in paths:
+                before = calls
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = main(["from-order", path])
+                per_call.append((code, calls - before))
+        finally:
+            sys.setprofile(previous)
+        assert all(code == 0 for code, _ in per_call)
+        assert max(n for _, n in per_call) <= 10_000
+        assert muls_under_norm == 0
 
 
 class TestRoundTrips:
@@ -507,6 +599,23 @@ class TestRoundTrips:
                 )
                 direct = order.algebra.mul(frame[i], frame[j])
                 assert transported == direct
+
+    def test_u_from_first_vector_off_the_field_line(self):
+        # on orders in random bases, u is the projection off L*1 of the first
+        # standard basis vector eps with rank [1, w, eps] = 3: u - eps lies
+        # in span(1, w) and u is orthogonal to 1 and w under the reference
+        # norm Gram
+        rng = random.Random(50)
+        built = list(_built_orders(51, 160))
+        assert len(built) >= 20
+        for k in range(200):
+            order, emb = _reparsed(rng, *built[k % len(built)])
+            alg = order.algebra
+            one, w, u = order_to_pointed(order, emb).frame[:3]
+            eps = next(e for e in std_basis() if sympy.Matrix([one, w, e]).rank() == 3)
+            assert sympy.Matrix([one, w, [x - e for x, e in zip(u, eps)]]).rank() == 2
+            gu = linalg.vec_mat(u, fraction_reference.norm_gram(alg))
+            assert sum(map(mul, gu, one)) == 0 and sum(map(mul, gu, w)) == 0
 
 
 class TestM2Z:
