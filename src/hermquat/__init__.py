@@ -33,7 +33,6 @@ from .hermitian import (
     det_form,
     discriminant_form,
     gram_on_basis,
-    is_integral,
     lattice_from_B_basis,
     polarize,
     polarize_independence_check,
@@ -58,7 +57,6 @@ from .quaternion import (
     discr_relation_check,
     is_optimal,
     lattice_disc,
-    line_lattice_intersection,
     order_to_pointed,
 )
 from .represent import (

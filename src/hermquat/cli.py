@@ -12,8 +12,14 @@ import io
 import sys
 
 from . import jsonio, verify
-from .errors import Error, InputError, InvariantViolation, NotIntegralError
-from .hermitian import det_form, discriminant_form, is_integral
+from .errors import (
+    DegenerateFormError,
+    Error,
+    InputError,
+    InvariantViolation,
+    NotIntegralError,
+)
+from .hermitian import det_form, discriminant_form
 from .qfield import QuadField
 from .quaternion import build_order, is_optimal, order_to_pointed
 from .represent import (
@@ -86,12 +92,13 @@ def cmd_analyze(args) -> int:
     space, lattice, _ = jsonio.parse_form(_read_json(args.form))
     nondeg = space.is_nondegenerate()
     disc = None
-    if nondeg:  # discriminant_form tests integrality itself
-        try:
-            disc = discriminant_form(space, lattice)
-        except NotIntegralError:
-            pass
-    integral = disc is not None if nondeg else is_integral(space, lattice)
+    integral = True
+    try:
+        disc = discriminant_form(space, lattice)
+    except NotIntegralError:
+        integral = False
+    except DegenerateFormError:
+        pass  # IntegralForm tests integrality before nondegeneracy
     report = {
         "d": space.field.d,
         "field_discriminant": space.field.D,

@@ -438,18 +438,6 @@ def lattice_from_B_basis(v1: Vector, v2: Vector) -> Lattice:
     return Lattice(field, (v1, vec_scale(w, v1), v2, vec_scale(w, v2)))
 
 
-def is_integral(space: HermSpace, lattice: Lattice) -> bool:
-    """h(Lambda) inside Z, tested on h- and b-values of a Z-basis."""
-    b = lattice.basis
-    for i in range(4):
-        if space.h_value(b[i]).denominator != 1:
-            return False
-        for j in range(i + 1, 4):
-            if space.b_value(b[i], b[j]).denominator != 1:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Determinant and discriminant of a form on a lattice
 

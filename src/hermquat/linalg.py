@@ -90,14 +90,6 @@ def mat_inverse(m):
     return [row[n:] for row in a]
 
 
-def is_integral_vector(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
-
-
-def is_integral_matrix(m) -> bool:
-    return all(is_integral_vector(row) for row in m)
-
-
 def common_denominator(rows) -> int:
     return math.lcm(*(x.denominator for row in rows for x in row))
 
@@ -130,15 +122,13 @@ def _row_sub(rows, i, k, q):
 
 
 def _hnf_engine(mat):
-    """Row HNF with transformation: (H, U, pivot_columns) with U.mat == H.
+    """Row HNF of an integer matrix: (H, pivot_columns).
 
-    Tolerates rank-deficient input; trailing rows of H are then zero and the
-    matching rows of U span the left kernel.
+    Tolerates rank-deficient input; trailing rows of H are then zero.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
     a = [[int(x) for x in row] for row in mat]
-    u = int_identity(m)
     pivots: list[int] = []
     r = 0
     for j in range(n):
@@ -152,12 +142,9 @@ def _hnf_engine(mat):
             i0 = min(nz, key=lambda i: (abs(a[i][j]), i))
             if i0 != r:
                 a[r], a[i0] = a[i0], a[r]
-                u[r], u[i0] = u[i0], u[r]
             for i in range(r + 1, m):
                 if a[i][j]:
-                    q = a[i][j] // a[r][j]
-                    _row_sub(a, i, r, q)
-                    _row_sub(u, i, r, q)
+                    _row_sub(a, i, r, a[i][j] // a[r][j])
             if not any(a[i][j] for i in range(r + 1, m)):
                 placed = True
                 break
@@ -165,43 +152,23 @@ def _hnf_engine(mat):
             continue
         if a[r][j] < 0:
             a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
         for i in range(r):
             q = a[i][j] // a[r][j]
             if q:
                 _row_sub(a, i, r, q)
-                _row_sub(u, i, r, q)
         pivots.append(j)
         r += 1
-    return a, u, pivots
-
-
-def hnf(mat):
-    """Row Hermite normal form of an integer matrix with full row rank.
-
-    Returns (H, U) with U unimodular and U.mat == H; pivots are positive and
-    the entries above each pivot are reduced into [0, pivot).
-    """
-    if not mat or not mat[0]:
-        raise InputError("empty matrix")
-    if not is_integral_matrix(mat):
-        raise InputError("hnf expects an integer matrix")
-    h, u, pivots = _hnf_engine(mat)
-    if len(pivots) < len(mat):
-        raise RankError("matrix does not have full row rank")
-    return h, u
+    return a, pivots
 
 
 def hnf_basis(mat):
-    """HNF basis (nonzero rows only) of the row span of an integer matrix."""
-    h, _, pivots = _hnf_engine(mat)
-    return [h[i] for i in range(len(pivots))]
+    """HNF basis (nonzero rows only) of the row span of an integer matrix.
 
-
-def left_kernel(mat):
-    """Basis of {c integer row : c.mat == 0} for an integer matrix."""
-    _, u, pivots = _hnf_engine(mat)
-    return [u[i] for i in range(len(pivots), len(mat))]
+    Pivots are positive and the entries above each pivot are reduced into
+    [0, pivot).
+    """
+    h, pivots = _hnf_engine(mat)
+    return h[: len(pivots)]
 
 
 def rational_span_equal(rows_a, rows_b) -> bool:

@@ -10,7 +10,7 @@ order gives back a pointed integral hermitian lattice.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -86,9 +86,7 @@ class QuatAlgebra:
     )
 
     def __init__(self, field, table, one=None, validate=False):
-        flat, td = linalg.scaled_integer_matrix(
-            [[Fraction(x) for x in entry] for row in table for entry in row]
-        )
+        flat, td = linalg.scaled_integer_matrix([entry for row in table for entry in row])
         self._setup(field, [flat[4 * a : 4 * a + 4] for a in range(4)], td, one)
         if validate:
             if not self.is_identity(self.one):
@@ -251,6 +249,20 @@ def _std_basis():
     ]
 
 
+def _check_isometry(rows, den, form_a, form_b, message):
+    """Raise InvariantViolation unless rows.A.rows^T / (a*den^2) = B / b.
+
+    ``rows / den`` maps a basis of the first space into the second; the
+    forms are integer Grams over non-zero scales, (A, a) on the second space
+    and (B, b) on the first.
+    """
+    (gram_a, a), (gram_b, b) = form_a, form_b
+    got = linalg.mat_mul(linalg.mat_mul(rows, gram_a), linalg.mat_transpose(rows))
+    scale = a * den * den
+    if [[b * x for x in row] for row in got] != [[scale * x for x in row] for row in gram_b]:
+        raise InvariantViolation(message)
+
+
 # ---------------------------------------------------------------------------
 # Pointed hermitian space -> algebra
 
@@ -294,11 +306,10 @@ def build_algebra(space: HermSpace, point: Vector) -> QuatAlgebra:
     fn = [[g * x for x in p], [g * x for x in pw], u_n, linalg.vec_mat(u_n, om)]
     alg._frame = (fn, ud)
     # frame.gram4.frame^T = fn.M.fn^T / (2k*ud^2) must be norm_gram() = S / q
-    got = linalg.mat_mul(linalg.mat_mul(fn, m), linalg.mat_transpose(fn))
-    gram, q = alg._norm_gram_scaled()
-    scale = 2 * k * ud * ud
-    if [[q * x for x in row] for row in got] != [[scale * x for x in row] for row in gram]:
-        raise InvariantViolation("norm form of the built algebra differs from h")
+    _check_isometry(
+        fn, ud, (m, 2 * k), alg._norm_gram_scaled(),
+        "norm form of the built algebra differs from h",
+    )
     # frame^-1 = (fn / ud)^-1 = ud * adj(fn) / det(fn); det != 0 since the
     # norm form check above makes frame.gram4.frame^T nondegenerate
     adj, det = linalg.int_adjugate(fn)
@@ -491,6 +502,11 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
     adj, det = linalg.int_adjugate(fn)
     if det == 0:
         raise RankError("matrix is singular")
+    # n(y . frame) = h(y): fn.S.fn^T / (q*fd^2) must be gram4 = M / (2k)
+    m, k = space._double_gram4()
+    _check_isometry(
+        fn, fd, (s, q), (m, 2 * k), "pulled-back form disagrees with the reduced norm"
+    )
 
     def pulled_back(x):
         (xn,), xd = linalg.scaled_integer_matrix([x])
@@ -500,9 +516,6 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
         )
 
     lattice = Lattice(field, [pulled_back(z) for z in order.zbasis])
-    for z, v in zip(order.zbasis, lattice.basis):
-        if space.h_value(v) != alg.reduced_norm(z):
-            raise InvariantViolation("pulled-back form disagrees with the reduced norm")
     return PointedForm(space, lattice, pulled_back(alg.one), frame)
 
 
@@ -556,27 +569,22 @@ def discr_relation_check(order: QuatOrder, emb: Embedding):
 # Optimality of embeddings
 
 
-def line_lattice_intersection(order: QuatOrder, span_rows):
-    """Basis rows (algebra coords) of span_Q(span_rows) intersected with the order."""
-    den = linalg.common_denominator(span_rows)
-    y_t, _ = linalg.scaled_integer_matrix(linalg.mat_transpose(span_rows), den)
-    kernel = linalg.left_kernel(y_t)  # right kernel of the span
-    if not kernel:
-        return []
-    m = linalg.mat_mul(order.zbasis, linalg.mat_transpose(kernel))
-    m_int, _ = linalg.scaled_integer_matrix(m)
-    coeffs = linalg.left_kernel(m_int)
-    return [linalg.vec_mat(c, order.zbasis) for c in coeffs]
-
-
 def is_optimal(emb: Embedding) -> bool:
-    """Whether i(L) meets the order exactly in i of the ring of integers."""
-    order = emb.order
-    alg = order.algebra
-    inter = line_lattice_intersection(order, [alg.one, emb.omega_alg()])
-    if len(inter) != 2:
+    """Whether i(L) meets the order exactly in i of the ring of integers.
+
+    In order coordinates the order is Z^4 and i(B) = Z*a + Z*c for the
+    integer rows a = 1 and c = w.  The index of Z*a + Z*c in its saturation
+    (Q*a + Q*c) meet Z^4 is the gcd g of the 2x2 minors a_i*c_j - a_j*c_i
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4), so the
+    embedding is optimal exactly when g = 1.  For an embedding of the
+    maximal order B, i(L) meet O is an order of L containing i(B), so the
+    answer is always True and is kept as a checked invariant.
+    """
+    a, c = emb.order.one_coords, emb.omega_image
+    g = gcd(*(a[i] * c[j] - a[j] * c[i] for i in range(4) for j in range(i + 1, 4)))
+    if g == 0:
         raise InvariantViolation("intersection with i(L) is not rank 2")
-    return linalg.rational_span_equal(inter, [alg.one, emb.omega_alg()])
+    return g == 1
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The package computes inertia with ``linalg.int_signature`` (Descartes' rule
 on the characteristic polynomial); the tests compare it with congruence
 diagonalization over the rationals.  It reads the reduced norm from the
 trace table, n(x) = (trd(x)^2 - trd(x^2)) / 2; the tests compare it with
-the scalar x * conj(x) computed by the algebra's own multiplication.
+the scalar x * conj(x) computed by the algebra's own multiplication.  It
+decides integrality from the integer Gram of ``IntegralForm``; the tests
+compare it with the h- and b-values of a Z-basis.
 """
 
 from fractions import Fraction
@@ -97,3 +99,15 @@ def norm_gram(alg):
             both = [x + y for x, y in zip(basis[a], basis[b])]
             g[a][b] = g[b][a] = (reduced_norm(alg, both) - n[a] - n[b]) / 2
     return g
+
+
+def is_integral(space, lattice) -> bool:
+    """h(Lambda) inside Z, tested on h- and b-values of a Z-basis."""
+    b = lattice.basis
+    for i in range(4):
+        if space.h_value(b[i]).denominator != 1:
+            return False
+        for j in range(i + 1, 4):
+            if space.b_value(b[i], b[j]).denominator != 1:
+                return False
+    return True

@@ -69,13 +69,16 @@ class TestAnalyze:
         assert "det_form" in report
 
     def test_degenerate_form(self, tmp_path, capsys):
-        path = write_form(tmp_path, HermSpace(F7, 1, 0, F7.zero()))
-        code, out = run_cli(["analyze", path], capsys)
-        assert code == 0
-        report = json.loads(out)
-        assert report["nondegenerate"] is False
-        assert report["definiteness"] == "Degenerate"
-        assert "det_form" not in report and "discriminant" not in report
+        # integrality is reported for degenerate forms too
+        for alpha, integral in ((1, True), ("1/2", False)):
+            path = write_form(tmp_path, HermSpace(F7, alpha, 0, F7.zero()))
+            code, out = run_cli(["analyze", path], capsys)
+            assert code == 0
+            report = json.loads(out)
+            assert report["nondegenerate"] is False
+            assert report["definiteness"] == "Degenerate"
+            assert report["integral"] is integral
+            assert "det_form" not in report and "discriminant" not in report
 
     def test_malformed_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -5,9 +5,11 @@ import random
 import sys
 from fractions import Fraction
 from operator import mul
+from types import SimpleNamespace
 
 import pytest
 import sympy
+from sympy.matrices.normalforms import smith_normal_form
 
 from hermquat import (
     Definiteness,
@@ -25,10 +27,8 @@ from hermquat import (
     discr_relation_check,
     discriminant_form,
     global_search,
-    is_integral,
     is_optimal,
     lattice_disc,
-    line_lattice_intersection,
     order_to_pointed,
     vec,
     vec_add,
@@ -41,6 +41,7 @@ from hermquat.errors import (
     ClosureError,
     DegenerateFormError,
     InputError,
+    InvariantViolation,
     MembershipError,
     RankError,
 )
@@ -53,7 +54,7 @@ F3 = QuadField(-3)
 
 
 import fraction_reference
-from fraction_reference import identity_matrix
+from fraction_reference import identity_matrix, is_integral
 from tests_fixtures import (
     CLOSED_FORM_FIELDS,
     hurwitz_order,
@@ -385,7 +386,7 @@ class TestIntegerKernel:
                           o.element([rng.randint(-3, 3) for _ in range(4)])):
                     coords = linalg.vec_mat(x, zinv)
                     assert o.coords_of(x) == coords
-                    assert o.contains(x) == linalg.is_integral_vector(coords)
+                    assert o.contains(x) == all(c.denominator == 1 for c in coords)
         assert built >= 30
         for order, _ in (m2z_order(), hurwitz_order()):
             for o in (order, _reparsed(rng, order)[0], _reparsed(rng, order)[0]):
@@ -413,7 +414,7 @@ class TestIntegerKernel:
             ref = _reference_products(alg, zbasis)
             bad = next(
                 ((i, j) for i in range(4) for j in range(4)
-                 if not linalg.is_integral_vector(ref[i][j])),
+                 if any(c.denominator != 1 for c in ref[i][j])),
                 None,
             )
             if bad is None:
@@ -530,10 +531,11 @@ class TestIntegerKernel:
         assert calls <= 1000 * len(rows)
 
     def test_from_order_fraction_calls_bounded(self, tmp_path):
-        # from-order reads the reduced norm from the integer trace table:
-        # count the calls into fractions.py per call on 20 order files from
-        # d = -7, h = 2 rows, and every QuatAlgebra.mul under reduced_norm
-        # or norm_gram
+        # from-order reads the reduced norm from the integer trace table and
+        # decides optimality on integer minors: count the calls into
+        # fractions.py per call on 20 order files from d = -7, h = 2 rows,
+        # every QuatAlgebra.mul under reduced_norm or norm_gram, and every
+        # call into fractions.py or the HNF under is_optimal
         paths = []
         for k, row in enumerate(_represented_rows(20)):
             path = tmp_path / f"order{k}.json"
@@ -541,19 +543,25 @@ class TestIntegerKernel:
             paths.append(str(path))
         source = fractions.__file__
         norm_codes = {QuatAlgebra.reduced_norm.__code__, QuatAlgebra.norm_gram.__code__}
-        calls = muls_under_norm = 0
+        calls = muls_under_norm = under_optimal = 0
+
+        def called_from(frame, codes):
+            caller = frame.f_back
+            while caller is not None and caller.f_code not in codes:
+                caller = caller.f_back
+            return caller is not None
 
         def count(frame, event, arg):
-            nonlocal calls, muls_under_norm
+            nonlocal calls, muls_under_norm, under_optimal
             if event != "call":
                 return
-            if frame.f_code.co_filename == source:
+            code = frame.f_code
+            if code.co_filename == source:
                 calls += 1
-            elif frame.f_code is QuatAlgebra.mul.__code__:
-                caller = frame.f_back
-                while caller is not None and caller.f_code not in norm_codes:
-                    caller = caller.f_back
-                muls_under_norm += caller is not None
+            elif code is QuatAlgebra.mul.__code__:
+                muls_under_norm += called_from(frame, norm_codes)
+            if code.co_filename == source or code is linalg._hnf_engine.__code__:
+                under_optimal += called_from(frame, {is_optimal.__code__})
 
         per_call = []
         previous = sys.getprofile()
@@ -567,8 +575,9 @@ class TestIntegerKernel:
         finally:
             sys.setprofile(previous)
         assert all(code == 0 for code, _ in per_call)
-        assert max(n for _, n in per_call) <= 10_000
+        assert max(n for _, n in per_call) <= 6_000
         assert muls_under_norm == 0
+        assert under_optimal == 0
 
 
 class TestRoundTrips:
@@ -616,6 +625,21 @@ class TestRoundTrips:
             assert sympy.Matrix([one, w, [x - e for x, e in zip(u, eps)]]).rank() == 2
             gu = linalg.vec_mat(u, fraction_reference.norm_gram(alg))
             assert sum(map(mul, gu, one)) == 0 and sum(map(mul, gu, w)) == 0
+
+    def test_reparsed_orders_optimal_and_isometric(self):
+        # is_optimal on the integer minors, and the per-basis reference for
+        # order_to_pointed's isometry check: h of each pulled-back Z-basis
+        # vector is the reduced norm of the basis vector
+        rng = random.Random(53)
+        built = list(_built_orders(54, 160))
+        assert len(built) >= 20
+        for k in range(200):
+            order, emb = _reparsed(rng, *built[k % len(built)])
+            assert is_optimal(emb) is True
+            alg = order.algebra
+            pointed = order_to_pointed(order, emb)
+            for z, v in zip(order.zbasis, pointed.lattice.basis):
+                assert pointed.space.h_value(v) == alg.reduced_norm(z)
 
 
 class TestM2Z:
@@ -690,25 +714,36 @@ class TestLatticeDisc:
             dv = lattice_disc(alg, linalg.int_identity(4))
             assert dv.as_ideal == abs(Fraction(field.D) * theta)
 
-    def test_superset_check(self):
-        order, emb = m2z_order()
-        inter = line_lattice_intersection(
-            order, [order.algebra.one, emb.omega_alg()]
-        )
-        # i(B) is always contained in the intersection lattice
-        den = linalg.common_denominator(inter)
-        scaled, _ = linalg.scaled_integer_matrix(inter, den)
-        for v in (order.algebra.one, emb.omega_alg()):
-            target = [int(Fraction(x) * den) for x in v]
-            h = linalg.hnf_basis(scaled + [target])
-            assert h == linalg.hnf_basis(scaled)
-
     def test_non_optimal_detected(self):
-        # the line through 2*i(omega) meets M2(Z) in more than Z + Z*(2 i(omega))
+        # Z*1 + Z*(2 i(omega)) has index 2 in its saturation inside M2(Z);
+        # 2 i(omega) fails the minimal polynomial, so no Embedding carries it
         order, emb = m2z_order()
-        w2 = [2 * x for x in emb.omega_alg()]
-        inter = line_lattice_intersection(order, [order.algebra.one, w2])
-        assert not linalg.rational_span_equal(inter, [order.algebra.one, w2])
+        doubled = SimpleNamespace(order=order, omega_image=[2 * x for x in emb.omega_image])
+        assert is_optimal(doubled) is False
+
+    def test_dependent_image_raises(self):
+        order, _ = m2z_order()
+        same = SimpleNamespace(order=order, omega_image=list(order.one_coords))
+        with pytest.raises(InvariantViolation, match="intersection with i\\(L\\) is not rank 2"):
+            is_optimal(same)
+
+    def test_minor_gcd_matches_smith_form(self):
+        # Z*a + Z*c is saturated in Z^4 exactly when the elementary divisors
+        # of the 2x4 matrix (a; c) are d1 = d2 = 1
+        rng = random.Random(52)
+        checked = optimal = 0
+        while checked < 200:
+            a = [rng.randint(-4, 4) for _ in range(4)]
+            c = [rng.randint(-4, 4) for _ in range(4)]
+            if sympy.Matrix([a, c]).rank() < 2:
+                continue
+            checked += 1
+            snf = smith_normal_form(sympy.Matrix([a, c]), domain=sympy.ZZ)
+            saturated = abs(snf[0, 0] * snf[1, 1]) == 1
+            emb = SimpleNamespace(order=SimpleNamespace(one_coords=a), omega_image=c)
+            assert is_optimal(emb) is saturated
+            optimal += saturated
+        assert 20 <= optimal <= 180
 
 
 class TestDiscRelationRandom:
