@@ -111,7 +111,7 @@ def omega_matrix(field: QuadField):
 class HermSpace:
     """Binary hermitian space with Gram matrix [[alpha, gamma], [conj(gamma), beta]]."""
 
-    __slots__ = ("field", "alpha", "beta", "gamma", "_gram4", "_defin", "_form")
+    __slots__ = ("field", "alpha", "beta", "gamma", "_num", "_defin", "_gram4", "_form")
 
     def __init__(self, field: QuadField, alpha, beta, gamma):
         self.field = field
@@ -121,8 +121,22 @@ class HermSpace:
         if g.field != field:
             raise InputError("gamma lives in a different field")
         self.gamma = g
+        # (k; al, be, ga, gb): alpha, beta and gamma = (ga + gb*omega) over k
+        fr = (self.alpha, self.beta, g.a, g.b)
+        k = lcm(*(x.denominator for x in fr))
+        al, be, ga, gb = (x.numerator * (k // x.denominator) for x in fr)
+        self._num = (k, al, be, ga, gb)
+        # Sylvester's criterion on k^2 * (alpha*beta - n(gamma))
+        det = al * be - (ga * ga - field.min_a * ga * gb + field.min_b * gb * gb)
+        if det == 0:
+            self._defin = Definiteness.DEGENERATE
+        elif det < 0:
+            self._defin = Definiteness.INDEFINITE
+        elif al > 0:
+            self._defin = Definiteness.POSITIVE_DEFINITE
+        else:
+            self._defin = Definiteness.NEGATIVE_DEFINITE
         self._gram4 = None
-        self._defin = None
         self._form = None
 
     def s_value(self, v: Vector, w: Vector) -> QElem:
@@ -145,11 +159,8 @@ class HermSpace:
     def b_value(self, v: Vector, w: Vector) -> Fraction:
         return self.s_value(v, w).trace()
 
-    def det2(self) -> Fraction:
-        return self.alpha * self.beta - self.gamma.norm()
-
     def is_nondegenerate(self) -> bool:
-        return self.det2() != 0
+        return self._defin is not Definiteness.DEGENERATE
 
     def _double_gram4(self):
         """Integers (M, k) with 2 * gram4() = M / k, from the closed form.
@@ -160,9 +171,7 @@ class HermSpace:
         gamma) / 2 for x_i, y_j in (1, omega).
         """
         ma, mb = self.field.min_a, self.field.min_b
-        fr = (self.alpha, self.beta, self.gamma.a, self.gamma.b)
-        k = lcm(*(x.denominator for x in fr))
-        al, be, ga, gb = (x.numerator * (k // x.denominator) for x in fr)
+        k, al, be, ga, gb = self._num
         # k times tr(gamma), tr(omega*gamma) and tr(conj(omega)*gamma)
         t1 = 2 * ga - ma * gb
         tw = -ma * ga + (ma * ma - 2 * mb) * gb
@@ -184,16 +193,6 @@ class HermSpace:
 
     def definiteness(self) -> Definiteness:
         """Sylvester's criterion on the 2x2 hermitian Gram matrix."""
-        if self._defin is None:
-            det2 = self.det2()
-            if det2 == 0:
-                self._defin = Definiteness.DEGENERATE
-            elif det2 < 0:
-                self._defin = Definiteness.INDEFINITE
-            elif self.alpha > 0:
-                self._defin = Definiteness.POSITIVE_DEFINITE
-            else:
-                self._defin = Definiteness.NEGATIVE_DEFINITE
         return self._defin
 
     def integral_form(self, lattice: "Lattice") -> "IntegralForm":
@@ -259,41 +258,19 @@ def sesquilinear_from_gram(gram, field: QuadField, l: QElem | None = None):
         l = field.omega()
     if l.conj() == l:
         raise InputError("polarization sample l must not be rational")
-    lm = _scalar_block(field, l, n)
+    # with l = c + e*omega: b(f_i, f_j) = 2*G[2i][2j] and
+    # b(l*f_i, f_j) = 2*(c*G[2i][2j] + e*G[2i+1][2j])
+    c, e = l.a, l.b
     lc = l.conj()
     denom = lc - l
-
-    def bform(x, y):
-        return 2 * sum(
-            x[i] * gram[i][j] * y[j] for i in range(size) for j in range(size)
-        )
-
     out = []
     for i in range(n):
-        x = [Fraction(0)] * size
-        x[2 * i] = Fraction(1)
-        lx = linalg.vec_mat(x, lm)
         row = []
         for j in range(n):
-            y = [Fraction(0)] * size
-            y[2 * j] = Fraction(1)
-            num = lc * bform(x, y) - bform(lx, y)
-            row.append(num / denom)
+            g0, g1 = Fraction(gram[2 * i][2 * j]), Fraction(gram[2 * i + 1][2 * j])
+            row.append((lc * (2 * g0) - 2 * (c * g0 + e * g1)) / denom)
         out.append(row)
     return out
-
-
-def _scalar_block(field: QuadField, l: QElem, n: int):
-    ma, mb = field.min_a, field.min_b
-    c, e = l.a, l.b
-    block = [[c, e], [-e * mb, c - e * ma]]
-    z = Fraction(0)
-    m = [[z] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        for i in range(2):
-            for j in range(2):
-                m[2 * k + i][2 * k + j] = block[i][j]
-    return m
 
 
 def polarize(h_gram, field: QuadField) -> HermSpace:
@@ -345,7 +322,7 @@ def polarize_independence_check(h_gram, field: QuadField, l_samples) -> bool:
 class Lattice:
     """A rank-4 Z-lattice in L^2 that is a module over the ring of integers."""
 
-    __slots__ = ("field", "basis", "_rows", "_scaled_rows", "_inv", "_omega")
+    __slots__ = ("field", "basis", "_scaled_rows", "_inv", "_omega")
 
     def __init__(self, field: QuadField, basis):
         basis = tuple(basis)
@@ -354,14 +331,12 @@ class Lattice:
         for v in basis:
             if v[0].field != field or v[1].field != field:
                 raise InputError("basis vector in a different field")
-        rows = [vec_coords(v) for v in basis]
-        scaled, den = linalg.scaled_integer_matrix(rows)
+        scaled, den = linalg.scaled_integer_matrix([vec_coords(v) for v in basis])
         adj, det = linalg.int_adjugate(scaled)
         if det == 0:
             raise RankError("basis vectors are not Z-linearly independent")
         self.field = field
         self.basis = basis
-        self._rows = rows
         self._scaled_rows = (scaled, den)
         # coord_rows()^-1 = (R / den)^-1 = den * adj(R) / det(R), kept as
         # integer numerators over the denominator det(R)
@@ -378,7 +353,7 @@ class Lattice:
         return cls(field, space_basis(field))
 
     def coord_rows(self):
-        return self._rows
+        return [vec_coords(v) for v in self.basis]
 
     def scaled_rows(self):
         """(R, den): integer rows with coord_rows() = R / den."""
@@ -420,7 +395,10 @@ class Lattice:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice) or other.field != self.field:
             return NotImplemented
-        return linalg.rational_span_equal(self._rows, other._rows)
+        try:
+            return self.index_of_sublattice(other) == 1
+        except MembershipError:
+            return False
 
     def __hash__(self):
         raise TypeError("lattices are unhashable")
@@ -442,19 +420,6 @@ def lattice_from_B_basis(v1: Vector, v2: Vector) -> Lattice:
 # Determinant and discriminant of a form on a lattice
 
 
-def free_sublattice_pair(lattice: Lattice, start: int = 0):
-    """Indices of an L-independent pair of basis vectors, scanning from ``start``."""
-    b = lattice.basis
-    n = len(b)
-    for i in range(n):
-        w1 = b[(start + i) % n]
-        for j in range(n):
-            w2 = b[(start + j) % n]
-            if w1[0] * w2[1] - w1[1] * w2[0] != 0:
-                return (start + i) % n, (start + j) % n
-    raise RankError("lattice has rank < 2 over L")
-
-
 def det_form(space: HermSpace, lattice: Lattice, start: int = 0) -> DiscValue:
     """The signed determinant d(Lambda, h).
 
@@ -464,13 +429,18 @@ def det_form(space: HermSpace, lattice: Lattice, start: int = 0) -> DiscValue:
     """
     if not space.is_nondegenerate():
         raise DegenerateFormError("determinant of a degenerate form")
-    i, j = free_sublattice_pair(lattice, start)
-    w1, w2 = lattice.basis[i], lattice.basis[j]
-    # the free sublattice (w1, w*w1, w2, w*w2) sits inside the B-stable
-    # lattice; its rows in lattice coordinates are unit rows and rows of the
-    # omega matrix, and its index is their determinant
+    # the sublattice B*w_i + B*w_j = (w_i, w*w_i, w_j, w*w_j) has rows e_i,
+    # Omega_i, e_j, Omega_j in lattice coordinates; its index is their
+    # determinant, non-zero exactly when w_i and w_j are L-independent
     unit, omega = linalg.int_identity(4), lattice.omega_rows()
-    index = abs(linalg.int_det([unit[i], omega[i], unit[j], omega[j]]))
+    pairs = (((start + a) % 4, (start + b) % 4) for a in range(4) for b in range(4))
+    for i, j in pairs:
+        index = abs(linalg.int_det([unit[i], omega[i], unit[j], omega[j]]))
+        if index:
+            break
+    else:
+        raise RankError("lattice has rank < 2 over L")
+    w1, w2 = lattice.basis[i], lattice.basis[j]
     det2 = space.h_value(w1) * space.h_value(w2) - space.s_value(w1, w2).norm()
     return DiscValue(det2 / index, FORM_SIGN_CONVENTION)
 

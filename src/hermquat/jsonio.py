@@ -29,8 +29,17 @@ def rat_str(x) -> str:
 def parse_rat(s) -> Fraction:
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InputError(f"bad rational {s!r}") from exc
+
+
+def _parse_rats(obj, depth: int, message: str):
+    """Nested lists of rationals, ``depth`` levels deep; a non-list raises ``message``."""
+    if not depth:
+        return parse_rat(obj)
+    if not isinstance(obj, list):
+        raise InputError(message)
+    return [_parse_rats(x, depth - 1, message) for x in obj]
 
 
 def qelem_obj(x: QElem) -> dict:
@@ -145,17 +154,15 @@ def parse_order(obj):
     for key in ("mult_table", "zbasis", "one"):
         if key not in obj:
             raise InputError(f"order is missing {key!r}")
-    table = [
-        [[parse_rat(x) for x in entry] for entry in row] for row in obj["mult_table"]
-    ]
+    table = _parse_rats(obj["mult_table"], 3, "mult_table must be 4x4x4")
     if len(table) != 4 or any(
         len(row) != 4 or any(len(e) != 4 for e in row) for row in table
     ):
         raise InputError("mult_table must be 4x4x4")
-    zbasis = [[parse_rat(x) for x in row] for row in obj["zbasis"]]
+    zbasis = _parse_rats(obj["zbasis"], 2, "order zbasis must be 4x4")
     if len(zbasis) != 4 or any(len(r) != 4 for r in zbasis):
         raise InputError("order zbasis must be 4x4")
-    one_zb = [parse_rat(x) for x in obj["one"]]
+    one_zb = _parse_rats(obj["one"], 1, "order one must have 4 entries")
     if len(one_zb) != 4:
         raise InputError("order one must have 4 entries")
     one_alg = linalg.vec_mat(one_zb, zbasis)
@@ -163,7 +170,8 @@ def parse_order(obj):
     order = QuatOrder(alg, zbasis)
     emb = None
     if "omega_image" in obj:
-        emb = Embedding(order, [parse_rat(x) for x in obj["omega_image"]])
+        omega = _parse_rats(obj["omega_image"], 1, "omega image must have 4 coordinates")
+        emb = Embedding(order, omega)
     return order, emb
 
 

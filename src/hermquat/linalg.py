@@ -90,17 +90,10 @@ def mat_inverse(m):
     return [row[n:] for row in a]
 
 
-def common_denominator(rows) -> int:
-    return math.lcm(*(x.denominator for row in rows for x in row))
-
-
 def scaled_integer_matrix(rows, den=None):
-    """Clear denominators: returns (den * rows as ints, den).
-
-    A given ``den`` must be a multiple of every entry's denominator.
-    """
+    """(den * rows as ints, den); den defaults to the lcm of the denominators."""
     if den is None:
-        den = common_denominator(rows)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
@@ -169,14 +162,6 @@ def hnf_basis(mat):
     """
     h, pivots = _hnf_engine(mat)
     return h[: len(pivots)]
-
-
-def rational_span_equal(rows_a, rows_b) -> bool:
-    """Whether two rational row families span the same Z-lattice."""
-    den = math.lcm(common_denominator(rows_a), common_denominator(rows_b))
-    a, _ = scaled_integer_matrix(rows_a, den)
-    b, _ = scaled_integer_matrix(rows_b, den)
-    return hnf_basis(a) == hnf_basis(b)
 
 
 # ---------------------------------------------------------------------------

@@ -594,7 +594,7 @@ def is_optimal(emb: Embedding) -> bool:
 class Isometry:
     """An L-linear h-preserving map of V, optionally lattice-preserving."""
 
-    __slots__ = ("space", "matrix_q", "matrix_l")
+    __slots__ = ("space", "matrix_q")
 
     def __init__(self, space: HermSpace, matrix_q, lattice: Lattice | None = None,
                  point_map: tuple[Vector, Vector] | None = None):
@@ -609,10 +609,6 @@ class Isometry:
             or self.matrix_q[3] != vec_coords(vec_scale(omega, img2))
         ):
             raise InvariantViolation("matrix is not L-linear")
-        self.matrix_l = [
-            [img1[0], img1[1]],
-            [img2[0], img2[1]],
-        ]
         g = space.gram4()
         transported = linalg.mat_mul(
             linalg.mat_mul(self.matrix_q, g), linalg.mat_transpose(self.matrix_q)

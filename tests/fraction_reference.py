@@ -6,11 +6,17 @@ diagonalization over the rationals.  It reads the reduced norm from the
 trace table, n(x) = (trd(x)^2 - trd(x^2)) / 2; the tests compare it with
 the scalar x * conj(x) computed by the algebra's own multiplication.  It
 decides integrality from the integer Gram of ``IntegralForm``; the tests
-compare it with the h- and b-values of a Z-basis.
+compare it with the h- and b-values of a Z-basis.  It decides definiteness
+on the integer numerators of the Gram entries, polarizes by a closed form
+in two Gram entries, and compares lattices by an index; the tests compare
+these with alpha*beta - n(gamma) in Fractions, with the bilinear form on
+whole vectors, and with Hermite normal forms.
 """
 
 from fractions import Fraction
+from math import lcm
 
+from hermquat import Definiteness, linalg
 from hermquat.errors import InputError
 
 
@@ -111,3 +117,56 @@ def is_integral(space, lattice) -> bool:
             if space.b_value(b[i], b[j]).denominator != 1:
                 return False
     return True
+
+
+def definiteness(space) -> Definiteness:
+    """Sylvester's criterion on alpha*beta - n(gamma), in Fractions."""
+    det2 = space.alpha * space.beta - space.gamma.norm()
+    if det2 == 0:
+        return Definiteness.DEGENERATE
+    if det2 < 0:
+        return Definiteness.INDEFINITE
+    if space.alpha > 0:
+        return Definiteness.POSITIVE_DEFINITE
+    return Definiteness.NEGATIVE_DEFINITE
+
+
+def sesquilinear_from_gram(gram, field, l):
+    """s_l(f_i, f_j) = (conj(l)*b(f_i, f_j) - b(l*f_i, f_j)) / (conj(l) - l).
+
+    b(x, y) = 2*x.G.y is evaluated on whole 2n-vectors, and l*f_i is the
+    unit vector f_i times the block matrix of multiplication by l.
+    """
+    size = len(gram)
+    n = size // 2
+    c, e = l.a, l.b
+    block = [[c, e], [-e * field.min_b, c - e * field.min_a]]
+    lm = [[Fraction(0)] * size for _ in range(size)]
+    for k in range(n):
+        for i in range(2):
+            for j in range(2):
+                lm[2 * k + i][2 * k + j] = block[i][j]
+
+    def bform(x, y):
+        return 2 * sum(x[i] * gram[i][j] * y[j] for i in range(size) for j in range(size))
+
+    def unit(i):
+        return [Fraction(int(k == i)) for k in range(size)]
+
+    lc = l.conj()
+    return [
+        [
+            (lc * bform(unit(2 * i), unit(2 * j))
+             - bform(linalg.vec_mat(unit(2 * i), lm), unit(2 * j))) / (lc - l)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def lattice_equal(a, b) -> bool:
+    """Whether two lattices have the same Hermite normal form over one denominator."""
+    rows = a.coord_rows() + b.coord_rows()
+    den = lcm(*(x.denominator for row in rows for x in row))
+    scaled = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+    return linalg.hnf_basis(scaled[:4]) == linalg.hnf_basis(scaled[4:])

@@ -5,13 +5,16 @@ each test prints one pass/fail line.  The two sweep-based tests share one
 height-3 sweep over d in {-3, -7}.
 """
 
+import fractions
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hermquat import qfield
 from hermquat import (
     Definiteness,
     HermSpace,
@@ -200,6 +203,29 @@ def test_sweep_csv_byte_identical(desk_sweep):
     counts = {d: len(rows) for d, rows in desk_sweep.items()}
     report("height-3 sweep CSV byte-identical", ok, f"rows {counts}")
     assert ok, digests
+
+
+def test_sweep_form_side_stays_integer():
+    # the form side reads definiteness, the Gram and Delta from integer
+    # numerators, so a height-2 sweep takes one QElem norm (in
+    # inverse_sqrt_d) and few calls into rational arithmetic
+    files = {fractions.__file__, qfield.__file__}
+    norm = qfield.QElem.norm.__code__
+    counts = {"norm": 0, "rational": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename in files:
+            counts["rational"] += 1
+            counts["norm"] += frame.f_code is norm
+
+    sys.setprofile(profile)
+    try:
+        rows = run_sweep(QuadField(-7), 2)
+    finally:
+        sys.setprofile(None)
+    ok = counts["norm"] <= 1 and counts["rational"] <= 120_000
+    report("height-2 sweep stays in integers", ok, f"rows {len(rows)}, calls {counts}")
+    assert ok, counts
 
 
 def test_sign_convention_probe(desk_sweep):

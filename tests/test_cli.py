@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hermquat
-from hermquat import HermSpace, Lattice, QuadField, cli, jsonio
+from hermquat import HermSpace, Lattice, QuadField, cli, jsonio, lattice_from_B_basis, vec
 from hermquat.cli import main
 from hermquat.errors import InvariantViolation
 from tests_fixtures import m2z_order
@@ -86,6 +92,18 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", float("inf")), ("beta", float("-inf")), ("gamma", {"a": float("inf"), "b": 0})],
+    )
+    def test_infinite_rational_exit_2(self, tmp_path, capsys, key, value):
+        obj = jsonio.herm_obj(HermSpace(F7, 1, -1, F7.zero()))
+        obj[key] = value
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(obj))  # written as the JSON literal Infinity
+        assert main(["analyze", str(path)]) == 2
+        assert "bad rational" in capsys.readouterr().err
+
     def test_text_format(self, tmp_path, capsys):
         path = write_form(tmp_path, HermSpace(F7, 1, -1, F7.zero()))
         code, out = run_cli(["analyze", path, "--format", "text"], capsys)
@@ -146,6 +164,24 @@ class TestFromOrder:
         path.write_text(jsonio.dumps(obj))
         code, _ = run_cli(["from-order", str(path)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("mult_table", 5, "mult_table must be 4x4x4"),
+            ("mult_table", [[1, 1, 1, 1]] * 4, "mult_table must be 4x4x4"),
+            ("zbasis", [1, 2, 3, 4], "order zbasis must be 4x4"),
+            ("one", 7, "order one must have 4 entries"),
+            ("omega_image", 3, "omega image must have 4 coordinates"),
+        ],
+    )
+    def test_malformed_shape_exit_2(self, tmp_path, capsys, key, value, message):
+        obj = jsonio.order_obj(*m2z_order())
+        obj[key] = value
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(obj))
+        assert main(["from-order", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_quaternion_table_crashes(self, tmp_path):
         # K x K for d = -7 on (1, omega, 1', omega'), componentwise: an
@@ -303,6 +339,68 @@ class TestVerify:
         assert code == 1
         assert "polarize: FAIL" in out
         assert "synthetic" in out
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+
+
+def _paths(obj, prefix=()):
+    """Every key and list position of a JSON value, except the field key 'd'."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        if key == "d":
+            continue
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+def _replaced(obj, path, value):
+    obj = copy.deepcopy(obj)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
+
+
+VALID_ORDER = jsonio.order_obj(*m2z_order())
+VALID_FORM = jsonio.form_obj(
+    HermSpace(F7, 1, -1, F7.zero()),
+    lattice_from_B_basis(vec(F7, 1, 0), vec(F7, F7.elem(2, -1), 1)),
+    vec(F7, 1, 0),
+)
+
+
+class TestMalformedInputFuzz:
+    """One field, row or entry of a valid file replaced by any JSON value:
+    the CLI answers with an exit code of its contract or, for a falsified
+    identity, with InvariantViolation, and never with another exception."""
+
+    @pytest.mark.parametrize(
+        "command, valid", [("from-order", VALID_ORDER), ("analyze", VALID_FORM)]
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, command, valid, data):
+        path = data.draw(st.sampled_from(list(_paths(valid))), label="path")
+        obj = _replaced(valid, path, data.draw(JSON_VALUES, label="value"))
+        with tempfile.TemporaryDirectory() as tmp:
+            fpath = os.path.join(tmp, "input.json")
+            with open(fpath, "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main([command, fpath])
+                except InvariantViolation:
+                    return
+        assert code in range(6)
 
 
 class TestSuccessiveCalls:

@@ -31,6 +31,7 @@ from hermquat.errors import (
 )
 from hermquat import linalg
 from hermquat.hermitian import gram_on_basis, vec_coords
+import fraction_reference
 from fraction_reference import is_integral
 from tests_fixtures import CLOSED_FORM_FIELDS, random_b_stable_pairs
 
@@ -96,6 +97,29 @@ class TestPolarize:
     def test_non_square_input_rejected(self):
         with pytest.raises(InputError):
             polarize([[Fraction(1)]], F7)
+
+    def test_closed_form_matches_bilinear_reference(self):
+        # random symmetric Grams, hermitian or not, and random samples l
+        rng = random.Random(18)
+
+        def rat(h):
+            return Fraction(rng.randint(-h, h), rng.choice((1, 2, 3, 5)))
+
+        for d in (-3, -7, -11, -15):
+            field = QuadField(d)
+            for size in (2, 4, 6):
+                for _ in range(15):
+                    gram = [[Fraction(0)] * size for _ in range(size)]
+                    for i in range(size):
+                        for j in range(i, size):
+                            gram[i][j] = gram[j][i] = rat(6)
+                    l = field.elem(rat(4), rat(4) or Fraction(1, 3))
+                    assert sesquilinear_from_gram(gram, field, l) == (
+                        fraction_reference.sesquilinear_from_gram(gram, field, l)
+                    )
+                    assert sesquilinear_from_gram(gram, field) == (
+                        fraction_reference.sesquilinear_from_gram(gram, field, field.omega())
+                    )
 
 
 class TestIndependence:
@@ -181,6 +205,30 @@ class TestLattices:
     def test_dependent_basis_rejected(self):
         with pytest.raises(RankError):
             lattice_from_B_basis(vec(F7, 1, 0), vec(F7, 2, 0))
+
+    def test_equality_matches_hnf_reference(self):
+        rng = random.Random(19)
+        lattices = [lattice for _, lattice in random_b_stable_pairs(19, 48)]
+        for a, b in zip(lattices, lattices[8:]):  # same field, 8 apart
+            assert (a == b) == fraction_reference.lattice_equal(a, b)
+        for a in lattices:
+            # the same lattice on a unimodular change of basis
+            v = list(a.basis)
+            for _ in range(6):
+                i, j = rng.sample(range(4), 2)
+                v[i] = vec_add(v[i], vec_scale(rng.choice((-2, -1, 1, 2)), v[j]))
+            rebased = Lattice(a.field, v)
+            assert rebased == a and a == rebased
+            assert fraction_reference.lattice_equal(a, rebased)
+
+    def test_proper_sub_and_superlattice_unequal(self):
+        # omega*B + B has index n(omega) = 2 in B^2 for d = -7
+        std = Lattice.standard(F7)
+        sub = lattice_from_B_basis(vec(F7, F7.omega(), 0), vec(F7, 0, 1))
+        assert std.index_of_sublattice(sub) == 2
+        assert sub != std and std != sub
+        assert not fraction_reference.lattice_equal(std, sub)
+        assert Lattice.standard(F7) != Lattice.standard(F3)
 
     def test_non_stable_rejected(self):
         # Z-span of (e1, e2/?) that is not an omega-module
@@ -397,6 +445,21 @@ class TestDefiniteness:
             for _ in range(25):
                 space = random_space(rng, field)
                 assert space.gram4() == gram_on_basis(space, space_basis(field))
+
+    def test_matches_fraction_rule(self):
+        rng = random.Random(20)
+        for k in range(500):
+            field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
+            space = random_space(rng, field, height=3)
+            if k % 3 == 0:  # degenerate: alpha*beta = n(gamma)
+                alpha = space.alpha
+                if alpha:
+                    space = HermSpace(field, alpha, space.gamma.norm() / alpha, space.gamma)
+                else:
+                    space = HermSpace(field, 0, space.beta, field.zero())
+            expected = fraction_reference.definiteness(space)
+            assert space.definiteness() is expected
+            assert space.is_nondegenerate() == (expected is not Definiteness.DEGENERATE)
 
     def test_sylvester_matches_signature(self):
         rng = random.Random(13)
