@@ -91,10 +91,11 @@ def _render(obj, fmt: str, out: str | None):
 def cmd_analyze(args) -> int:
     space, lattice, _ = jsonio.parse_form(_read_json(args.form))
     nondeg = space.is_nondegenerate()
+    det = det_form(space, lattice) if nondeg else None
     disc = None
     integral = True
     try:
-        disc = discriminant_form(space, lattice)
+        disc = discriminant_form(space, lattice, det)
     except NotIntegralError:
         integral = False
     except DegenerateFormError:
@@ -107,8 +108,8 @@ def cmd_analyze(args) -> int:
         "b_stable": True,
         "definiteness": space.definiteness().value,
     }
-    if nondeg:
-        report["det_form"] = jsonio.disc_obj(det_form(space, lattice))
+    if det is not None:
+        report["det_form"] = jsonio.disc_obj(det)
     if disc is not None:
         report["discriminant"] = jsonio.disc_obj(disc)
     _render(report, args.format, args.out)

@@ -15,9 +15,8 @@ from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
 
-from sympy import factorint
-
 from . import linalg
+from .arith import factorint
 from .errors import (
     BStabilityError,
     DegenerateFormError,
@@ -445,10 +444,15 @@ def det_form(space: HermSpace, lattice: Lattice, start: int = 0) -> DiscValue:
     return DiscValue(det2 / index, FORM_SIGN_CONVENTION)
 
 
-def discriminant_form(space: HermSpace, lattice: Lattice) -> DiscValue:
-    """Delta(Lambda, h) = D * d(Lambda, h); an integer for integral forms."""
+def discriminant_form(
+    space: HermSpace, lattice: Lattice, det: DiscValue | None = None
+) -> DiscValue:
+    """Delta(Lambda, h) = D * d(Lambda, h); an integer for integral forms.
+
+    ``det`` is d(Lambda, h) from ``det_form``, for a caller that holds it.
+    """
     space.integral_form(lattice)  # raises unless h is integral and nondegenerate
-    d = det_form(space, lattice)
+    d = det if det is not None else det_form(space, lattice)
     value = space.field.D * d.value
     if value.denominator != 1:
         raise InvariantViolation(
@@ -510,7 +514,8 @@ class IntegralForm:
         """The factorization of |Delta|, computed on first use and kept.
 
         The sweep's square-free filter and the local prime set both read it,
-        so |Delta| is factored once per row.
+        so |Delta| is factored once per row.  Raises ``InputError`` when
+        |Delta| exceeds ``arith.FACTOR_LIMIT``.
         """
         if self._factors is None:
             self._factors = factorint(int(self.delta.as_ideal))

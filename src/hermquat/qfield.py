@@ -11,8 +11,7 @@ from enum import Enum
 from fractions import Fraction
 from numbers import Rational
 
-from sympy import factorint, isprime
-
+from .arith import factorint, isprime
 from .errors import InputError
 
 
@@ -23,7 +22,7 @@ class SplitType(Enum):
 
 
 class QuadField:
-    """Q(sqrt(d)) for a square-free negative integer d."""
+    """Q(sqrt(d)) for a square-free negative integer d with |d| <= ``arith.FACTOR_LIMIT``."""
 
     __slots__ = ("d", "D", "omega_is_half", "min_a", "min_b", "ramified_primes")
 

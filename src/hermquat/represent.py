@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from sympy import isprime, sqrt_mod
-
 from . import linalg
+from .arith import isprime, sqrt_mod as _sqrt_mod
 from .errors import (
     HypothesisError,
     InputError,
@@ -319,15 +318,6 @@ def _local_ramified(form: IntegralForm, p: int, v_delta: int):
     if not hensel_liftable(form.w, cert_vec, p, 0):
         raise InvariantViolation(f"ramified certificate fails Hensel at p = {p}")
     return LocalReport(p, True, METHOD_RAMIFIED_DIAGONAL, cert)
-
-
-def _sqrt_mod(a: int, p: int):
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    return sqrt_mod(a, p)
 
 
 # ---------------------------------------------------------------------------

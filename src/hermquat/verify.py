@@ -11,9 +11,8 @@ import random
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
-from sympy import factorint
-
 from . import jsonio, linalg
+from .arith import factorint
 from .hermitian import (
     Definiteness,
     HermSpace,

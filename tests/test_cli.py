@@ -6,14 +6,25 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hermquat
-from hermquat import HermSpace, Lattice, QuadField, cli, jsonio, lattice_from_B_basis, vec
+from hermquat import (
+    HermSpace,
+    Lattice,
+    QuadField,
+    cli,
+    hermitian,
+    jsonio,
+    lattice_from_B_basis,
+    vec,
+)
 from hermquat.cli import main
 from hermquat.errors import InvariantViolation
 from tests_fixtures import m2z_order
@@ -47,6 +58,13 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def semiprime_form():
+    """p*q*n(x) - n(y) over d = -7 with primes p ~ 10^22, q ~ 3*10^22: a
+    45-digit |Delta|, far above the factoring limit."""
+    pq = sympy.nextprime(10**22) * sympy.nextprime(3 * 10**22)
+    return HermSpace(F7, pq, -1, F7.zero()), 7 * pq
 
 
 class TestAnalyze:
@@ -91,6 +109,30 @@ class TestAnalyze:
         bad.write_text("{oops")
         code, _ = run_cli(["analyze", str(bad)], capsys)
         assert code == 2
+
+    def test_det_form_runs_once(self, tmp_path, capsys, monkeypatch):
+        # the det_form and discriminant keys come from one det_form result
+        calls = []
+        real = hermitian.det_form
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hermitian, "det_form", counted)
+        monkeypatch.setattr(cli, "det_form", counted)
+        for space in (HermSpace(F7, 1, -1, F7.zero()), HermSpace(F7, "1/2", 1, F7.zero())):
+            calls.clear()
+            code, out = run_cli(["analyze", write_form(tmp_path, space)], capsys)
+            assert code == 0 and "det_form" in json.loads(out)
+            assert len(calls) == 1
+
+    def test_large_discriminant_accepted(self, tmp_path, capsys):
+        # analyze never factors, so it takes a |Delta| above the factoring limit
+        space, delta = semiprime_form()
+        code, out = run_cli(["analyze", write_form(tmp_path, space)], capsys)
+        assert code == 0
+        assert json.loads(out)["discriminant"]["value"] == str(delta)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -268,6 +310,15 @@ class TestRepresentOne:
         path = write_form(tmp_path, HermSpace(F7, 7, -7, F7.zero()))
         code, _ = run_cli(["represent-one", path], capsys)
         assert code == 2
+
+    def test_discriminant_above_factoring_limit_exit_2(self, tmp_path, capsys):
+        space, _ = semiprime_form()
+        path = write_form(tmp_path, space)
+        t0 = time.perf_counter()
+        code = main(["represent-one", path])
+        assert code == 2
+        assert time.perf_counter() - t0 < 1.0
+        assert "larger than the limit" in capsys.readouterr().err
 
 
 class TestSweep:
