@@ -32,7 +32,6 @@ from .hermitian import (
     Lattice,
     det_form,
     discriminant_form,
-    gram_on_basis,
     lattice_from_B_basis,
     polarize,
     polarize_independence_check,
@@ -41,20 +40,16 @@ from .hermitian import (
     vec,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 from .qfield import QElem, QuadField, SplitType, splitting
 from .quaternion import (
     Embedding,
-    Isometry,
     PointedForm,
     QuatAlgebra,
     QuatOrder,
     algebra_table,
     build_algebra,
     build_order,
-    change_point,
-    discr_relation_check,
     is_optimal,
     lattice_disc,
     order_to_pointed,
@@ -72,7 +67,6 @@ from .represent import (
     hensel_liftable,
     local_test,
     represents_one_integral,
-    represents_one_rational,
 )
 from .sweep import SweepRow, run_sweep, surviving_forms
 

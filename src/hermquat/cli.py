@@ -95,7 +95,7 @@ def cmd_analyze(args) -> int:
     disc = None
     integral = True
     try:
-        disc = discriminant_form(space, lattice, det)
+        disc = discriminant_form(space, lattice)
     except NotIntegralError:
         integral = False
     except DegenerateFormError:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from . import linalg
 from .arith import factorint
@@ -66,10 +67,6 @@ def vec(field: QuadField, x, y) -> Vector:
 
 def vec_add(v: Vector, w: Vector) -> Vector:
     return (v[0] + w[0], v[1] + w[1])
-
-
-def vec_sub(v: Vector, w: Vector) -> Vector:
-    return (v[0] - w[0], v[1] - w[1])
 
 
 def vec_scale(l, v: Vector) -> Vector:
@@ -155,9 +152,6 @@ class HermSpace:
             + (v[0] * v[1].conj() * self.gamma).trace()
         )
 
-    def b_value(self, v: Vector, w: Vector) -> Fraction:
-        return self.s_value(v, w).trace()
-
     def is_nondegenerate(self) -> bool:
         return self._defin is not Definiteness.DEGENERATE
 
@@ -222,17 +216,6 @@ class HermSpace:
 
     def __repr__(self) -> str:
         return f"HermSpace({self.field.d}, {self.alpha}, {self.beta}, {self.gamma!r})"
-
-
-def gram_on_basis(space: HermSpace, vectors):
-    """Gram matrix of h restricted to an arbitrary tuple of vectors."""
-    n = len(vectors)
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        g[i][i] = space.h_value(vectors[i])
-        for j in range(i + 1, n):
-            g[i][j] = g[j][i] = space.b_value(vectors[i], vectors[j]) / 2
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +320,8 @@ class Lattice:
         self.field = field
         self.basis = basis
         self._scaled_rows = (scaled, den)
-        # coord_rows()^-1 = (R / den)^-1 = den * adj(R) / det(R), kept as
-        # integer numerators over the denominator det(R)
+        # (R / den)^-1 = den * adj(R) / det(R), kept as integer numerators
+        # over the denominator det(R)
         self._inv = ([[x * den for x in row] for row in adj], det)
         # omega * b_i has coordinates R_i.Omega / den, so omega acts on the
         # basis by R.Omega.adj(R) / det(R)
@@ -351,11 +334,8 @@ class Lattice:
     def standard(cls, field: QuadField) -> "Lattice":
         return cls(field, space_basis(field))
 
-    def coord_rows(self):
-        return [vec_coords(v) for v in self.basis]
-
     def scaled_rows(self):
-        """(R, den): integer rows with coord_rows() = R / den."""
+        """(R, den): integer rows R / den, the coordinates of the basis vectors."""
         return self._scaled_rows
 
     def _coord_numerators(self, v: Vector):
@@ -363,10 +343,6 @@ class Lattice:
         (x,), xd = linalg.scaled_integer_matrix([vec_coords(v)])
         inv, det = self._inv
         return linalg.vec_mat(x, inv), xd * det
-
-    def coords_of(self, v: Vector):
-        c, q = self._coord_numerators(v)
-        return [Fraction(x, q) for x in c]
 
     def omega_rows(self):
         """Integer matrix of omega on the basis: omega*b_i = sum_j O[i][j]*b_j."""
@@ -416,53 +392,52 @@ def lattice_from_B_basis(v1: Vector, v2: Vector) -> Lattice:
 
 
 # ---------------------------------------------------------------------------
-# Determinant and discriminant of a form on a lattice
+# The form on a lattice: one integer Gram, its determinant and Delta
 
 
-def det_form(space: HermSpace, lattice: Lattice, start: int = 0) -> DiscValue:
-    """The signed determinant d(Lambda, h).
+def _double_gram(space: HermSpace, lattice: Lattice):
+    """Integers (N, s) with 2*G = N / s, G the Gram matrix of h on the lattice basis.
 
-    Computed as det of s on a free sublattice B*w1 + B*w2 divided by the
-    index [Lambda : B*w1 + B*w2]; the sign is the sign of det(s(v_i, v_j)),
+    N = R.M.R^T for the lattice rows R / den and 2 * gram4 = M / k, so
+    s = den^2 * k.
+    """
+    rows, den = lattice.scaled_rows()
+    m, k = space._double_gram4()
+    rm = [linalg.vec_mat(r, m) for r in rows]
+    n = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            n[i][j] = n[j][i] = sum(map(mul, rm[i], rows[j]))
+    return n, den * den * k
+
+
+def det_form(space: HermSpace, lattice: Lattice) -> DiscValue:
+    """The signed determinant d(Lambda, h) = Delta / D.
+
+    det(2G) = Delta^2 holds for every nondegenerate form, integral or not,
+    so with 2G = N / s, |d| = sqrt(det N) / (s^2 * |D|); the sign is
     positive exactly for definite forms.
     """
     if not space.is_nondegenerate():
         raise DegenerateFormError("determinant of a degenerate form")
-    # the sublattice B*w_i + B*w_j = (w_i, w*w_i, w_j, w*w_j) has rows e_i,
-    # Omega_i, e_j, Omega_j in lattice coordinates; its index is their
-    # determinant, non-zero exactly when w_i and w_j are L-independent
-    unit, omega = linalg.int_identity(4), lattice.omega_rows()
-    pairs = (((start + a) % 4, (start + b) % 4) for a in range(4) for b in range(4))
-    for i, j in pairs:
-        index = abs(linalg.int_det([unit[i], omega[i], unit[j], omega[j]]))
-        if index:
-            break
-    else:
-        raise RankError("lattice has rank < 2 over L")
-    w1, w2 = lattice.basis[i], lattice.basis[j]
-    det2 = space.h_value(w1) * space.h_value(w2) - space.s_value(w1, w2).norm()
-    return DiscValue(det2 / index, FORM_SIGN_CONVENTION)
+    n, scale = _double_gram(space, lattice)
+    det = linalg.int_det(n)
+    root = isqrt(det) if det > 0 else 0
+    if root * root != det:
+        raise InvariantViolation(f"det(2G) = {Fraction(det, scale**4)} is not a square")
+    sign = -1 if space.definiteness() is Definiteness.INDEFINITE else 1
+    return DiscValue(
+        Fraction(sign * root, scale * scale * abs(space.field.D)), FORM_SIGN_CONVENTION
+    )
 
 
-def discriminant_form(
-    space: HermSpace, lattice: Lattice, det: DiscValue | None = None
-) -> DiscValue:
-    """Delta(Lambda, h) = D * d(Lambda, h); an integer for integral forms.
+def discriminant_form(space: HermSpace, lattice: Lattice) -> DiscValue:
+    """Delta(Lambda, h) = D * d(Lambda, h) of an integral form, an integer.
 
-    ``det`` is d(Lambda, h) from ``det_form``, for a caller that holds it.
+    It is ``IntegralForm.delta``; raises NotIntegralError, then
+    DegenerateFormError, as the record does.
     """
-    space.integral_form(lattice)  # raises unless h is integral and nondegenerate
-    d = det if det is not None else det_form(space, lattice)
-    value = space.field.D * d.value
-    if value.denominator != 1:
-        raise InvariantViolation(
-            f"discriminant {value} of an integral form is not an integer"
-        )
-    return DiscValue(value, FORM_SIGN_CONVENTION)
-
-
-# ---------------------------------------------------------------------------
-# One validated record per (form, lattice)
+    return space.integral_form(lattice).delta
 
 
 class IntegralForm:
@@ -475,23 +450,22 @@ class IntegralForm:
     lattice basis, where G = R.gram4.R^T is the Gram matrix of h there:
     h is integral exactly when 2*G is an integer matrix with an even
     diagonal, and det(2*G) = Delta^2.  The sign of Delta is positive exactly
-    for indefinite forms.  ``discriminant_form`` computes Delta on an
-    independent path (a free sublattice and its index).  The record holds
-    no reference back to its space, so that a space and the record it keeps
-    are freed together without waiting for the cycle collector.
+    for indefinite forms.  ``discriminant_form`` returns ``delta`` and
+    ``det_form`` reads Delta / D from the same integer Gram; the independent
+    path is the order side's trace pairing, ``quaternion.lattice_disc``.
+    The record holds no reference back to its space, so that a space and the
+    record it keeps are freed together without waiting for the cycle
+    collector.
     """
 
     __slots__ = ("lattice", "w", "definiteness", "delta", "_factors")
 
     def __init__(self, space: HermSpace, lattice: Lattice):
-        rows, den = lattice.scaled_rows()
-        m, k = space._double_gram4()
-        scale = den * den * k
-        rm = [[sum(r[t] * m[t][j] for t in range(4)) for j in range(4)] for r in rows]
+        n, scale = _double_gram(space, lattice)
         w = [[0] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i, 4):
-                q, rem = divmod(sum(rm[i][t] * rows[j][t] for t in range(4)), scale)
+                q, rem = divmod(n[i][j], scale)
                 if rem:
                     raise NotIntegralError("form is not integral on the lattice")
                 w[i][j] = w[j][i] = q

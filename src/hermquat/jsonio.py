@@ -166,7 +166,7 @@ def parse_order(obj):
     if len(one_zb) != 4:
         raise InputError("order one must have 4 entries")
     one_alg = linalg.vec_mat(one_zb, zbasis)
-    alg = QuatAlgebra(field, table, one=one_alg, validate=True)
+    alg = QuatAlgebra(field, table, one=one_alg)
     order = QuatOrder(alg, zbasis)
     emb = None
     if "omega_image" in obj:

@@ -11,18 +11,16 @@ numerators over one denominator.  ``int_det`` is Bareiss' fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968; Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 2.2.6); the adjugate and the
 signature come from the characteristic polynomial by Faddeev-LeVerrier,
-whose divisions are exact on integer matrices.  The Gaussian ``mat_det``
-and ``mat_inverse`` over Fractions remain as the independent reference the
-tests compare the kernel with.
+whose divisions are exact on integer matrices.  The tests compare the
+kernel with Gaussian elimination over Fractions (``fraction_reference``).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 
-from .errors import InputError, RankError
+from .errors import InputError
 
 
 def int_identity(n: int) -> list[list[int]]:
@@ -49,61 +47,11 @@ def mat_eq(a, b):
     )
 
 
-def mat_det(m) -> Fraction:
-    a = [[Fraction(x) for x in row] for row in m]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k]:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
-
-
-def mat_inverse(m):
-    n = len(m)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise RankError("matrix is singular")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
-
-
 def scaled_integer_matrix(rows, den=None):
     """(den * rows as ints, den); den defaults to the lcm of the denominators."""
     if den is None:
         den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
-
-
-def evaluate_quadratic(gram, vec) -> Fraction:
-    n = len(vec)
-    total = Fraction(0)
-    for i in range(n):
-        if vec[i]:
-            total += sum(gram[i][j] * vec[j] for j in range(n)) * vec[i]
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,9 @@ from .hermitian import (
     HermSpace,
     Lattice,
     Vector,
-    det_form,
     omega_matrix,
     vec_coords,
     vec_from_coords,
-    vec_scale,
 )
 from .qfield import QuadField
 
@@ -74,27 +72,26 @@ class QuatAlgebra:
     denominator ``_td`` holds the coordinates of e_a * e_b, so ``_tn[a]`` is
     the integer matrix of x -> e_a * x.  ``table`` is derived from it as
     rationals.  Only ``canonical`` sets ``theta`` (u^2 = theta), and only
-    ``build_algebra`` sets the frame (rows = V-coordinates of the algebra
-    basis) and its inverse, both as integer numerators over one
+    ``build_algebra`` sets the inverse of the frame (whose rows are the
+    V-coordinates of the algebra basis), as integer numerators over one
     denominator.  The norm form is read from the trace table alike for
     canonical and parsed tables, and kept once built.
     """
 
     __slots__ = (
-        "field", "one", "theta", "_frame", "_frame_inv", "_trace_v",
+        "field", "one", "theta", "_frame_inv", "_trace_v",
         "_tn", "_td", "_trace_n", "_norm",
     )
 
-    def __init__(self, field, table, one=None, validate=False):
+    def __init__(self, field, table, one=None):
         flat, td = linalg.scaled_integer_matrix([entry for row in table for entry in row])
         self._setup(field, [flat[4 * a : 4 * a + 4] for a in range(4)], td, one)
-        if validate:
-            if not self.is_identity(self.one):
-                raise InputError("declared identity is not a two-sided identity")
-            bad = self.associativity_failures()
-            if bad:
-                i, j, k = bad[0]
-                raise InputError(f"multiplication table is not associative at {(i, j, k)}")
+        if not self.is_identity(self.one):
+            raise InputError("declared identity is not a two-sided identity")
+        bad = self.associativity_failures()
+        if bad:
+            i, j, k = bad[0]
+            raise InputError(f"multiplication table is not associative at {(i, j, k)}")
 
     def _setup(self, field, tn, td, one):
         self.field = field
@@ -106,7 +103,6 @@ class QuatAlgebra:
             else [Fraction(x) for x in one]
         )
         self.theta = None
-        self._frame = None
         self._frame_inv = None
         self._norm = None
         # trd(x) = <x, _trace_v> / (2 * _td) since tr(L_x) is linear in x
@@ -228,15 +224,7 @@ class QuatAlgebra:
     def scalar(self, c):
         return [Fraction(c) * o for o in self.one]
 
-    # -- conversions through the frame (canonical algebras only)
-
-    @property
-    def frame(self):
-        """Rows = V-coordinates of the algebra basis, or None."""
-        return None if self._frame is None else _rational(*self._frame)
-
-    def to_space(self, x) -> Vector:
-        return vec_from_coords(self.field, linalg.vec_mat(x, self.frame))
+    # -- coordinates through the frame (built algebras only)
 
     def from_space(self, v: Vector):
         fin, q = self._frame_inv
@@ -304,8 +292,7 @@ def build_algebra(space: HermSpace, point: Vector) -> QuatAlgebra:
         raise DegenerateFormError("orthogonal complement is isotropic; form degenerate")
     alg = QuatAlgebra.canonical(field, theta)
     fn = [[g * x for x in p], [g * x for x in pw], u_n, linalg.vec_mat(u_n, om)]
-    alg._frame = (fn, ud)
-    # frame.gram4.frame^T = fn.M.fn^T / (2k*ud^2) must be norm_gram() = S / q
+    # frame = fn / ud; frame.gram4.frame^T = fn.M.fn^T / (2k*ud^2) must be norm_gram() = S / q
     _check_isometry(
         fn, ud, (m, 2 * k), alg._norm_gram_scaled(),
         "norm form of the built algebra differs from h",
@@ -381,10 +368,6 @@ class QuatOrder:
         (xn,), xd = linalg.scaled_integer_matrix([x])
         zinv, det = self._zinv
         return linalg.vec_mat(xn, zinv), xd * det
-
-    def coords_of(self, x):
-        c, q = self._coord_numerators(x)
-        return [Fraction(v, q) for v in c]
 
     def contains(self, x) -> bool:
         c, q = self._coord_numerators(x)
@@ -551,20 +534,6 @@ def lattice_disc(algebra: QuatAlgebra, zbasis) -> DiscValue:
     return DiscValue(sign * Fraction(root, den * den), LATTICE_SIGN_CONVENTION)
 
 
-def discr_relation_check(order: QuatOrder, emb: Embedding):
-    """Both sides of Delta(Lambda) = D * d(Lambda, n), computed independently.
-
-    The left side is the trace-pairing square root on the order; the right
-    side pulls the lattice back to L^2 and uses the hermitian determinant.
-    Returns (lhs, rhs, equal) as signed DiscValues.
-    """
-    lhs = order.discriminant()
-    pointed = order_to_pointed(order, emb)
-    d = det_form(pointed.space, pointed.lattice)
-    rhs = DiscValue(order.algebra.field.D * d.value, LATTICE_SIGN_CONVENTION)
-    return lhs, rhs, lhs.value == rhs.value
-
-
 # ---------------------------------------------------------------------------
 # Optimality of embeddings
 
@@ -585,69 +554,3 @@ def is_optimal(emb: Embedding) -> bool:
     if g == 0:
         raise InvariantViolation("intersection with i(L) is not rank 2")
     return g == 1
-
-
-# ---------------------------------------------------------------------------
-# Change of point
-
-
-class Isometry:
-    """An L-linear h-preserving map of V, optionally lattice-preserving."""
-
-    __slots__ = ("space", "matrix_q")
-
-    def __init__(self, space: HermSpace, matrix_q, lattice: Lattice | None = None,
-                 point_map: tuple[Vector, Vector] | None = None):
-        field = space.field
-        self.space = space
-        self.matrix_q = [[Fraction(x) for x in row] for row in matrix_q]
-        img1 = vec_from_coords(field, self.matrix_q[0])
-        img2 = vec_from_coords(field, self.matrix_q[2])
-        omega = field.omega()
-        if (
-            self.matrix_q[1] != vec_coords(vec_scale(omega, img1))
-            or self.matrix_q[3] != vec_coords(vec_scale(omega, img2))
-        ):
-            raise InvariantViolation("matrix is not L-linear")
-        g = space.gram4()
-        transported = linalg.mat_mul(
-            linalg.mat_mul(self.matrix_q, g), linalg.mat_transpose(self.matrix_q)
-        )
-        if not linalg.mat_eq(transported, g):
-            raise InvariantViolation("matrix does not preserve the hermitian form")
-        if point_map is not None:
-            src, dst = point_map
-            if self.apply(src) != dst:
-                raise InvariantViolation("isometry does not map the designated points")
-        if lattice is not None:
-            for v in lattice.basis:
-                if not lattice.contains(self.apply(v)):
-                    raise InvariantViolation("isometry does not preserve the lattice")
-
-    def apply(self, v: Vector) -> Vector:
-        return vec_from_coords(
-            self.space.field, linalg.vec_mat(vec_coords(v), self.matrix_q)
-        )
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self followed by other."""
-        return Isometry(self.space, linalg.mat_mul(self.matrix_q, other.matrix_q))
-
-
-def change_point(space: HermSpace, lattice: Lattice, v: Vector, u: Vector) -> Isometry:
-    """Right multiplication by u in the algebra built at v.
-
-    Both points must have h = 1 and u must lie in the lattice; the result
-    maps v to u, preserves h exactly and maps the lattice into itself.
-    """
-    if space.h_value(u) != 1:
-        raise InputError("target point must satisfy h(u) = 1")
-    if not lattice.contains(u) or not lattice.contains(v):
-        raise MembershipError("points must lie in the lattice")
-    alg = build_algebra(space, v)
-    u_alg = alg.from_space(u)
-    rmul = [alg.mul(e, u_alg) for e in _std_basis()]
-    fin, q = alg._frame_inv
-    matrix_q = linalg.mat_mul(linalg.mat_mul(fin, rmul), alg.frame)
-    matrix_q = [[x / q for x in row] for row in matrix_q]
-    return Isometry(space, matrix_q, lattice=lattice, point_map=(v, u))

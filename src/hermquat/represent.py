@@ -1,17 +1,16 @@
 """Deciding whether a binary hermitian form represents 1.
 
-Over the rationals the decision is a signature computation.  Over the
-integers the pipeline combines the real condition, p-adic solvability at
-the finitely many primes dividing 2*D*Delta, and a deterministic box search
-for a witness; the square-free discriminant hypothesis makes every local
-test constructive.
+The pipeline combines the real condition (a negative definite form
+represents no positive number), p-adic solvability at the finitely many
+primes dividing 2*D*Delta, and a deterministic box search for a witness;
+the square-free discriminant hypothesis makes every local test
+constructive.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from . import linalg
@@ -29,9 +28,6 @@ from .hermitian import (
     IntegralForm,
     Lattice,
     Vector,
-    space_basis,
-    vec_add,
-    vec_scale,
 )
 from .qfield import QuadField, SplitType, splitting
 
@@ -71,7 +67,6 @@ class LocalReport:
 @dataclass
 class RepresentConfig:
     search_bound: int = 50
-    primes: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -105,62 +100,6 @@ def hensel_liftable(w, x, p: int, t: int) -> bool:
         return False
     q = p ** (t + 1)
     return any(sum(a * b for a, b in zip(row, x)) % q for row in w)
-
-
-# ---------------------------------------------------------------------------
-# Rational (real-place) decision
-
-
-def represents_one_rational(space: HermSpace):
-    """Signature decision plus a best-effort small rational witness.
-
-    The decision is authoritative: a nondegenerate quaternary hermitian form
-    represents 1 over Q exactly when it is not negative definite.  The
-    witness search tries numerators up to height 4 and denominators up to 4.
-    """
-    if not space.is_nondegenerate():
-        raise InputError("decision requires a nondegenerate form")
-    if space.definiteness() == Definiteness.NEGATIVE_DEFINITE:
-        return False, None
-    field = space.field
-    basis = space_basis(field)
-    gram = space.gram4()
-    for k in range(1, 5):
-        target = k * k
-        for h in range(0, 5):
-            for c in _shell_vectors(h, (4,) * 4):
-                if linalg.evaluate_quadratic(gram, c) == target:
-                    v = _combine(field, basis, c)
-                    return True, vec_scale(Fraction(1, k), v)
-    return True, None
-
-
-def _combine(field: QuadField, basis, coeffs) -> Vector:
-    out = (field.zero(), field.zero())
-    for c, g in zip(coeffs, basis):
-        if c:
-            out = vec_add(out, vec_scale(Fraction(c), g))
-    return out
-
-
-def _shell_vectors(height, clamps):
-    """Vectors with max|c_i| == height, |c_i| <= clamps[i], ascending lex order."""
-
-    def rec(i, prefix, hit):
-        if i == 4:
-            if hit:
-                yield prefix
-            return
-        lim = min(height, clamps[i])
-        if i == 3 and not hit:
-            if height <= clamps[3]:
-                for c in sorted({-height, height}):
-                    yield prefix + (c,)
-            return
-        for c in range(-lim, lim + 1):
-            yield from rec(i + 1, prefix + (c,), hit or abs(c) == height)
-
-    yield from rec(0, (), False)
 
 
 # ---------------------------------------------------------------------------
@@ -324,13 +263,36 @@ def _local_ramified(form: IntegralForm, p: int, v_delta: int):
 # Global search
 
 
+def _shell_vectors(height, clamps):
+    """Vectors with max|c_i| == height, |c_i| <= clamps[i], ascending lex order."""
+
+    def rec(i, prefix, hit):
+        if i == 4:
+            if hit:
+                yield prefix
+            return
+        lim = min(height, clamps[i])
+        if i == 3 and not hit:
+            if height <= clamps[3]:
+                for c in sorted({-height, height}):
+                    yield prefix + (c,)
+            return
+        for c in range(-lim, lim + 1):
+            yield from rec(i + 1, prefix + (c,), hit or abs(c) == height)
+
+    yield from rec(0, (), False)
+
+
 def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     """First lattice vector with h = 1 in (shell, c1, c2, c3, c4) order.
 
     Coefficients run over [-H, H] with H increasing to the bound; for a
-    positive definite form the coordinates are additionally clamped by the
-    exact ellipsoid bound, making the search complete.  Returns None when
-    the search space is exhausted.
+    positive definite form each coordinate is additionally clamped by the
+    exact ellipsoid bound.  None proves that h does not represent 1 on the
+    lattice only for a negative definite form, or for a positive definite
+    one whose ellipsoid bounds are all within the height bound: only then
+    is the search complete.  Otherwise None means that the box was
+    exhausted.
     """
     form = space.integral_form(lattice)
     w = form.w
@@ -401,8 +363,7 @@ def represents_one_integral(
             verdict=VERDICT_REAL_OBSTRUCTION,
             discriminant=delta,
         )
-    primes = list(config.primes) if config.primes else local_prime_set(form)
-    reports = [local_test(space, lattice, p) for p in primes]
+    reports = [local_test(space, lattice, p) for p in local_prime_set(form)]
     bad = next((r for r in reports if not r.solvable), None)
     if bad is not None:
         return RepOneReport(

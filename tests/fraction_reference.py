@@ -1,27 +1,78 @@
 """Fraction references for the integer kernel.
 
-The package computes inertia with ``linalg.int_signature`` (Descartes' rule
-on the characteristic polynomial); the tests compare it with congruence
-diagonalization over the rationals.  It reads the reduced norm from the
-trace table, n(x) = (trd(x)^2 - trd(x^2)) / 2; the tests compare it with
-the scalar x * conj(x) computed by the algebra's own multiplication.  It
-decides integrality from the integer Gram of ``IntegralForm``; the tests
-compare it with the h- and b-values of a Z-basis.  It decides definiteness
-on the integer numerators of the Gram entries, polarizes by a closed form
-in two Gram entries, and compares lattices by an index; the tests compare
-these with alpha*beta - n(gamma) in Fractions, with the bilinear form on
-whole vectors, and with Hermite normal forms.
+The package computes determinants and inverses by fraction-free integer
+elimination (``linalg.int_det``, ``linalg.int_adjugate``); the tests
+compare them with Gaussian elimination over the rationals (``mat_det``,
+``mat_inverse``).  It computes inertia with ``linalg.int_signature``
+(Descartes' rule on the characteristic polynomial); the tests compare it
+with congruence diagonalization over the rationals.  It reads the reduced
+norm from the trace table, n(x) = (trd(x)^2 - trd(x^2)) / 2; the tests
+compare it with the scalar x * conj(x) computed by the algebra's own
+multiplication.  It decides integrality, and reads Delta and d(Lambda, h),
+from the one integer Gram 2G of a form on a lattice; the tests compare
+these with the h- and b-values of a Z-basis and with the free-pair
+determinant ``det_form``, det of s on a free sublattice B*w1 + B*w2 over
+its index, in QElem arithmetic.  It decides definiteness on the integer
+numerators of the Gram entries, polarizes by a closed form in two Gram
+entries, builds the frame of an algebra in integers, and compares lattices
+by an index; the tests compare these with alpha*beta - n(gamma) in
+Fractions, with the bilinear form on whole vectors, with the QElem
+construction of the frame, and with Hermite normal forms.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from hermquat import Definiteness, linalg
-from hermquat.errors import InputError
+from hermquat import FORM_SIGN_CONVENTION, Definiteness, DiscValue, linalg, vec
+from hermquat.errors import DegenerateFormError, InputError, RankError
+from hermquat.hermitian import vec_coords, vec_from_coords, vec_scale
 
 
 def identity_matrix(n: int) -> list[list[Fraction]]:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_det(m) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                f = a[i][k] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def mat_inverse(m):
+    """Inverse by Gauss-Jordan elimination over the rationals."""
+    n = len(m)
+    a = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(m)
+    ]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise RankError("matrix is singular")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
 
 
 def congruence_diagonalize(sym):
@@ -107,6 +158,27 @@ def norm_gram(alg):
     return g
 
 
+def b_value(space, v, w) -> Fraction:
+    """The bilinear form b = tr(s)."""
+    return space.s_value(v, w).trace()
+
+
+def gram_on_basis(space, vectors):
+    """Gram matrix of h on a tuple of vectors, from h- and b-values."""
+    n = len(vectors)
+    g = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = space.h_value(vectors[i])
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = b_value(space, vectors[i], vectors[j]) / 2
+    return g
+
+
+def coord_rows(lattice):
+    """The coordinates of the basis vectors in the fixed basis of V."""
+    return [vec_coords(v) for v in lattice.basis]
+
+
 def is_integral(space, lattice) -> bool:
     """h(Lambda) inside Z, tested on h- and b-values of a Z-basis."""
     b = lattice.basis
@@ -114,9 +186,54 @@ def is_integral(space, lattice) -> bool:
         if space.h_value(b[i]).denominator != 1:
             return False
         for j in range(i + 1, 4):
-            if space.b_value(b[i], b[j]).denominator != 1:
+            if b_value(space, b[i], b[j]).denominator != 1:
                 return False
     return True
+
+
+def det_form(space, lattice, start: int = 0) -> DiscValue:
+    """d(Lambda, h) from a free sublattice: det of s on B*w1 + B*w2 over the index.
+
+    The pair (w_i, w_j) of basis vectors is the first, in the order
+    (start + a, start + b) mod 4, with a non-zero index
+    [Lambda : B*w_i + B*w_j]; that sublattice has rows e_i, Omega_i, e_j,
+    Omega_j in lattice coordinates, so the index is their determinant.  The
+    sign is the sign of det(s(w_i, w_j)), positive exactly for definite
+    forms.
+    """
+    if not space.is_nondegenerate():
+        raise DegenerateFormError("determinant of a degenerate form")
+    unit, omega = linalg.int_identity(4), lattice.omega_rows()
+    pairs = (((start + a) % 4, (start + b) % 4) for a in range(4) for b in range(4))
+    for i, j in pairs:
+        index = abs(linalg.int_det([unit[i], omega[i], unit[j], omega[j]]))
+        if index:
+            break
+    w1, w2 = lattice.basis[i], lattice.basis[j]
+    det2 = space.h_value(w1) * space.h_value(w2) - space.s_value(w1, w2).norm()
+    return DiscValue(det2 / index, FORM_SIGN_CONVENTION)
+
+
+def reference_frame(space, point):
+    """The frame of ``build_algebra(space, point)`` by its QElem construction.
+
+    w = e1 (e2 when point[1] = 0), u = w - s(w, point)*point; the rows are
+    the V-coordinates of (point, omega*point, u, omega*u), and theta = -h(u).
+    """
+    field = space.field
+    w = vec(field, 1, 0) if point[1] != 0 else vec(field, 0, 1)
+    s = space.s_value(w, point)
+    u = (w[0] - s * point[0], w[1] - s * point[1])
+    omega = field.omega()
+    return [vec_coords(x) for x in (point, vec_scale(omega, point), u, vec_scale(omega, u))]
+
+
+def to_space(alg, x):
+    """The vector of V with algebra coordinates x: x . frame, for the frame
+    inverse of a built algebra."""
+    fin, q = alg._frame_inv
+    frame = mat_inverse([[Fraction(c, q) for c in row] for row in fin])
+    return vec_from_coords(alg.field, linalg.vec_mat(x, frame))
 
 
 def definiteness(space) -> Definiteness:
@@ -166,7 +283,7 @@ def sesquilinear_from_gram(gram, field, l):
 
 def lattice_equal(a, b) -> bool:
     """Whether two lattices have the same Hermite normal form over one denominator."""
-    rows = a.coord_rows() + b.coord_rows()
+    rows = coord_rows(a) + coord_rows(b)
     den = lcm(*(x.denominator for row in rows for x in row))
     scaled = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     return linalg.hnf_basis(scaled[:4]) == linalg.hnf_basis(scaled[4:])

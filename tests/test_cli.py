@@ -23,6 +23,7 @@ from hermquat import (
     hermitian,
     jsonio,
     lattice_from_B_basis,
+    qfield,
     vec,
 )
 from hermquat.cli import main
@@ -111,7 +112,8 @@ class TestAnalyze:
         assert code == 2
 
     def test_det_form_runs_once(self, tmp_path, capsys, monkeypatch):
-        # the det_form and discriminant keys come from one det_form result
+        # analyze calls det_form once, and det_form reads the integer Gram:
+        # no call under it enters qfield.py
         calls = []
         real = hermitian.det_form
 
@@ -119,13 +121,32 @@ class TestAnalyze:
             calls.append(args)
             return real(*args, **kwargs)
 
+        qfield_calls = 0
+        source = qfield.__file__
+
+        def count(frame, event, arg):
+            nonlocal qfield_calls
+            if event != "call" or frame.f_code.co_filename != source:
+                return
+            caller = frame.f_back
+            while caller is not None and caller.f_code is not real.__code__:
+                caller = caller.f_back
+            qfield_calls += caller is not None
+
         monkeypatch.setattr(hermitian, "det_form", counted)
         monkeypatch.setattr(cli, "det_form", counted)
         for space in (HermSpace(F7, 1, -1, F7.zero()), HermSpace(F7, "1/2", 1, F7.zero())):
             calls.clear()
-            code, out = run_cli(["analyze", write_form(tmp_path, space)], capsys)
+            path = write_form(tmp_path, space)
+            previous = sys.getprofile()
+            sys.setprofile(count)
+            try:
+                code, out = run_cli(["analyze", path], capsys)
+            finally:
+                sys.setprofile(previous)
             assert code == 0 and "det_form" in json.loads(out)
             assert len(calls) == 1
+        assert qfield_calls == 0
 
     def test_large_discriminant_accepted(self, tmp_path, capsys):
         # analyze never factors, so it takes a |Delta| above the factoring limit

@@ -30,9 +30,16 @@ from hermquat.errors import (
     RankError,
 )
 from hermquat import linalg
-from hermquat.hermitian import gram_on_basis, vec_coords
+from hermquat.hermitian import vec_coords
 import fraction_reference
-from fraction_reference import is_integral
+from fraction_reference import (
+    b_value,
+    coord_rows,
+    gram_on_basis,
+    is_integral,
+    mat_det,
+    mat_inverse,
+)
 from tests_fixtures import CLOSED_FORM_FIELDS, random_b_stable_pairs
 
 F7 = QuadField(-7)
@@ -165,8 +172,8 @@ class TestValues:
             space = random_space(rng, F3)
             v = random_vec(rng, F3)
             w = random_vec(rng, F3)
-            assert space.b_value(v, v) == 2 * space.h_value(v)
-            assert space.b_value(v, w) == space.h_value(vec_add(v, w)) - \
+            assert b_value(space, v, v) == 2 * space.h_value(v)
+            assert b_value(space, v, w) == space.h_value(vec_add(v, w)) - \
                 space.h_value(v) - space.h_value(w)
 
     def test_hermitian_symmetry_and_linearity(self):
@@ -250,7 +257,7 @@ class TestLatticeIntegerKernel:
         rng = random.Random(16)
         for _, lattice in random_b_stable_pairs(16, 60):
             field = lattice.field
-            inv = linalg.mat_inverse(lattice.coord_rows())
+            inv = mat_inverse(coord_rows(lattice))
             omega = field.omega()
             assert lattice.omega_rows() == [
                 linalg.vec_mat(vec_coords(vec_scale(omega, v)), inv) for v in lattice.basis
@@ -263,11 +270,12 @@ class TestLatticeIntegerKernel:
                     field.elem(rng.randint(-6, 6), Fraction(rng.randint(-6, 6), rng.choice((1, 3)))),
                 )
                 coords = linalg.vec_mat(vec_coords(x), inv)
-                assert lattice.coords_of(x) == coords
+                c, q = lattice._coord_numerators(x)
+                assert [Fraction(t, q) for t in c] == coords
                 assert lattice.contains(x) == all(c.denominator == 1 for c in coords)
                 c = [rng.randint(-4, 4) for _ in range(4)]
                 assert lattice.contains(lattice.from_integer_coords(c))
-                assert lattice.coords_of(lattice.from_integer_coords(c)) == c
+                assert linalg.vec_mat(vec_coords(lattice.from_integer_coords(c)), inv) == c
 
     def test_index_matches_fraction_determinants(self):
         rng = random.Random(17)
@@ -281,7 +289,7 @@ class TestLatticeIntegerKernel:
                 continue
             sub = lattice_from_B_basis(v1, v2)
             index = std.index_of_sublattice(sub)
-            assert index == abs(linalg.mat_det(sub.coord_rows()) / linalg.mat_det(std.coord_rows()))
+            assert index == abs(mat_det(coord_rows(sub)) / mat_det(coord_rows(std)))
             if index > 1:
                 with pytest.raises(MembershipError):
                     sub.index_of_sublattice(std)
@@ -301,9 +309,9 @@ class TestIntegrality:
         std = Lattice.standard(F7)
         assert is_integral(space, std)
         b = space_basis(F7)
-        assert space.b_value(b[0], b[2]) == 0
-        assert space.b_value(b[0], b[3]).denominator == 1
-        assert space.b_value(b[1], b[2]).denominator == 1
+        assert b_value(space, b[0], b[2]) == 0
+        assert b_value(space, b[0], b[3]).denominator == 1
+        assert b_value(space, b[1], b[2]).denominator == 1
 
 
 def _frac_gcd(a, b):
@@ -343,8 +351,8 @@ def _pair_ideal_oracle(space, lattice, height=1):
 
 class TestDetForm:
     def test_definitional_ideal_oracle(self):
-        # the free-sublattice-plus-index computation must reproduce the
-        # ideal generated by det(s(v_i, v_j)) over all pairs
+        # the integer-Gram det_form and the free-pair reference must both
+        # reproduce the ideal generated by det(s(v_i, v_j)) over all pairs
         rng = random.Random(5)
         std = Lattice.standard(F7)
         inv = F7.inverse_sqrt_d()
@@ -358,21 +366,29 @@ class TestDetForm:
             )
             if not space.is_nondegenerate():
                 continue
+            assert det_form(space, std) == fraction_reference.det_form(space, std)
             assert det_form(space, std).as_ideal == _pair_ideal_oracle(space, std)
             checked += 1
         sub = lattice_from_B_basis(vec(F7, 2, 0), vec(F7, 0, 1))
         split = HermSpace(F7, 1, -1, F7.zero())
+        assert det_form(split, sub) == fraction_reference.det_form(split, sub)
         assert det_form(split, sub).as_ideal == _pair_ideal_oracle(split, sub) == 4
 
     def test_choice_independent(self):
+        # the free-pair reference from each of the four starting pairs and
+        # det_form from the integer Gram agree, integral forms or not
         rng = random.Random(31)
         std = Lattice.standard(F7)
-        for _ in range(20):
-            space = random_space(rng, F7)
+        cases = [(random_space(rng, F7), std) for _ in range(20)]
+        cases += list(random_b_stable_pairs(31, 160))
+        non_integral = 0
+        for space, lattice in cases:
             if not space.is_nondegenerate():
                 continue
-            values = {det_form(space, std, start=k).value for k in range(4)}
-            assert len(values) == 1
+            non_integral += not is_integral(space, lattice)
+            values = {fraction_reference.det_form(space, lattice, k).value for k in range(4)}
+            assert values == {det_form(space, lattice).value}
+        assert non_integral >= 50
 
     def test_index_scaling(self):
         space = HermSpace(F7, 1, -1, F7.zero())
@@ -479,7 +495,7 @@ class TestDefiniteness:
 
 class TestIntegralForm:
     def test_invariants_match_reference_paths(self):
-        # Delta against the free-pair path, definiteness against the
+        # Delta against the free-pair reference, definiteness against the
         # signature of gram4, the Gram against h- and b-values
         integral = 0
         for space, lattice in random_b_stable_pairs(14, 320):
@@ -487,7 +503,9 @@ class TestIntegralForm:
                 continue
             integral += 1
             form = IntegralForm(space, lattice)
-            assert form.delta == discriminant_form(space, lattice)
+            reference = fraction_reference.det_form(space, lattice)
+            assert form.delta.value == space.field.D * reference.value
+            assert discriminant_form(space, lattice) == form.delta
             gram, _ = linalg.scaled_integer_matrix(space.gram4())
             pos, neg, _ = linalg.int_signature(gram)
             indefinite = (pos, neg) == (2, 2)

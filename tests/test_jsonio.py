@@ -1,19 +1,30 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermquat import (
     HermSpace,
     Lattice,
     QuadField,
+    build_order,
+    global_search,
     jsonio,
     represents_one_integral,
     vec,
 )
-from hermquat.errors import InputError
+from hermquat.errors import DegenerateFormError, InputError, NotIntegralError
+from hermquat.hermitian import vec_scale
+from hermquat.verify import random_b_stable_lattice
 from tests_fixtures import m2z_order
 
 F7 = QuadField(-7)
+ROUND_TRIP_FIELDS = (-1, -2, -3, -7, -11, -15)
+# rationals with numerators and denominators up to 10^40
+RATIONALS = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+NONZERO_RATIONALS = RATIONALS.filter(bool)
 
 
 class TestRationals:
@@ -27,6 +38,21 @@ class TestRationals:
         assert jsonio.parse_rat("-7") == -7
         with pytest.raises(InputError):
             jsonio.parse_rat("x")
+
+
+def _random_order(rng, field):
+    """The embedded order of a random integral form on a random B-stable
+    lattice, pointed at the first vector with h = 1 of height at most 2."""
+    while True:
+        lattice = random_b_stable_lattice(rng, field)
+        gamma = field.elem(rng.randint(-4, 4), rng.randint(-4, 4)) * field.inverse_sqrt_d()
+        space = HermSpace(field, rng.randint(-4, 4), rng.randint(-4, 4), gamma)
+        try:
+            point = global_search(space, lattice, 2)
+        except (DegenerateFormError, NotIntegralError):
+            continue
+        if point is not None:
+            return build_order(space, lattice, point)
 
 
 class TestRoundTrips:
@@ -47,22 +73,42 @@ class TestRoundTrips:
         assert lattice == Lattice.standard(F7)
         assert point is None
 
-    def test_form_with_lattice_and_point(self):
-        space = HermSpace(F7, 1, -1, F7.zero())
-        lattice = Lattice.standard(F7)
-        obj = jsonio.form_obj(space, lattice, vec(F7, 1, 0))
-        s2, l2, p2 = jsonio.parse_form(obj)
-        assert s2 == space and l2 == lattice and p2 == vec(F7, 1, 0)
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from(ROUND_TRIP_FIELDS),
+        entries=st.lists(RATIONALS, min_size=8, max_size=8),
+        scale=NONZERO_RATIONALS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_form_with_lattice_and_point(self, d, entries, scale, seed):
+        # a form, a random B-stable lattice scaled by a large rational and a
+        # point, all with large numerators and denominators
+        field = QuadField(d)
+        alpha, beta, ga, gb, *point = entries
+        space = HermSpace(field, alpha, beta, field.elem(ga, gb))
+        basis = random_b_stable_lattice(random.Random(seed), field).basis
+        lattice = Lattice(field, [vec_scale(scale, v) for v in basis])
+        point = vec(field, field.elem(*point[:2]), field.elem(*point[2:]))
+        obj = jsonio.form_obj(space, lattice, point)
+        text = jsonio.dumps(obj)
+        s2, l2, p2 = jsonio.parse_form(jsonio.loads(text))
+        assert s2 == space and l2.basis == lattice.basis and p2 == point
+        assert jsonio.dumps(jsonio.form_obj(s2, l2, p2)) == text
 
-    def test_order_round_trip(self):
-        order, emb = m2z_order()
-        obj = jsonio.order_obj(order, emb)
-        order2, emb2 = jsonio.parse_order(obj)
-        assert order2.algebra.table == order.algebra.table
-        assert order2.zbasis == order.zbasis
-        assert emb2.omega_image == emb.omega_image
-        # byte-stable
-        assert jsonio.dumps(jsonio.order_obj(order2, emb2)) == jsonio.dumps(obj)
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(d=st.sampled_from(ROUND_TRIP_FIELDS), seed=st.integers(0, 2**32 - 1))
+    def test_order_round_trip(self, d, seed):
+        # orders built from random integral pointed lattices, and M2(Z)
+        for order, emb in (_random_order(random.Random(seed), QuadField(d)), m2z_order()):
+            obj = jsonio.order_obj(order, emb)
+            text = jsonio.dumps(obj)
+            order2, emb2 = jsonio.parse_order(jsonio.loads(text))
+            assert order2.algebra.table == order.algebra.table
+            assert order2.zbasis == order.zbasis
+            assert order2.one_coords == order.one_coords
+            assert emb2.omega_image == emb.omega_image
+            # byte-stable
+            assert jsonio.dumps(jsonio.order_obj(order2, emb2)) == text
 
     def test_report_serializes(self):
         space = HermSpace(F7, 1, -1, F7.zero())

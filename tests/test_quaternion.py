@@ -22,9 +22,7 @@ from hermquat import (
     algebra_table,
     build_algebra,
     build_order,
-    change_point,
     det_form,
-    discr_relation_check,
     discriminant_form,
     global_search,
     is_optimal,
@@ -33,9 +31,8 @@ from hermquat import (
     vec,
     vec_add,
     vec_scale,
-    vec_sub,
 )
-from hermquat import jsonio, linalg
+from hermquat import jsonio, linalg, qfield
 from hermquat.cli import main
 from hermquat.errors import (
     ClosureError,
@@ -45,6 +42,7 @@ from hermquat.errors import (
     MembershipError,
     RankError,
 )
+from hermquat.hermitian import vec_coords, vec_from_coords
 from hermquat.represent import VERDICT_REPRESENTED, represents_one_integral
 from hermquat.sweep import surviving_forms
 from hermquat.verify import random_pointed_space
@@ -54,7 +52,14 @@ F3 = QuadField(-3)
 
 
 import fraction_reference
-from fraction_reference import identity_matrix, is_integral
+from fraction_reference import (
+    identity_matrix,
+    is_integral,
+    mat_det,
+    mat_inverse,
+    reference_frame,
+    to_space,
+)
 from tests_fixtures import (
     CLOSED_FORM_FIELDS,
     hurwitz_order,
@@ -82,13 +87,19 @@ class TestAlgebraTable:
 
     def test_identity_must_be_two_sided(self):
         # e_i * e_j = e_j makes every e_i a left identity and none a right
-        # one; e_i * e_j = e_i the other way round.  Both tables are associative.
+        # one; e_i * e_j = e_i the other way round.  Both tables are
+        # associative: (e_i e_j) e_k = e_i (e_j e_k) on the table itself.
         left = [[[int(k == j) for k in range(4)] for j in range(4)] for _ in range(4)]
         right = [[[int(k == i) for k in range(4)] for _ in range(4)] for i in range(4)]
         for table in (left, right):
-            assert QuatAlgebra(F7, table).associativity_failures() == []
+            for i in range(4):
+                for j in range(4):
+                    for k in range(4):
+                        lhs = linalg.vec_mat(table[i][j], [table[m][k] for m in range(4)])
+                        rhs = linalg.vec_mat(table[j][k], table[i])
+                        assert lhs == rhs
             with pytest.raises(InputError, match="two-sided identity"):
-                QuatAlgebra(F7, table, validate=True)
+                QuatAlgebra(F7, table)
         # the integer test against products through mul, on a rational table
         alg = QuatAlgebra(F7, algebra_table(1, 2, Fraction(3, 2)))
         rng = random.Random(3)
@@ -108,7 +119,7 @@ class TestAlgebraTable:
             b = rng.randint(-6, 6)
             theta = Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
             disc = a * a - 4 * b
-            if theta == 0 or linalg.mat_det([[1]]) is None:
+            if theta == 0:
                 continue
             # irreducible over Q: disc not a perfect square (includes negatives)
             from math import isqrt
@@ -122,7 +133,7 @@ class TestAlgebraTable:
                 for i in range(4)
             ]
             # independent dense determinant oracle over Fractions
-            assert linalg.mat_det(tr) == -Fraction(disc) ** 2 * theta**2
+            assert mat_det(tr) == -Fraction(disc) ** 2 * theta**2
             checked += 1
 
 
@@ -165,7 +176,7 @@ class TestBuildAlgebra:
             alg = build_algebra(space, v)
             for _ in range(20):
                 x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
-                assert alg.reduced_norm(x) == space.h_value(alg.to_space(x))
+                assert alg.reduced_norm(x) == space.h_value(to_space(alg, x))
 
     def test_norm_multiplicative_and_conj(self):
         space = HermSpace(F7, 1, -2, F7.elem(1, 0))
@@ -264,7 +275,7 @@ class TestBuildOrder:
                 continue
             w = vec(F7, F7.elem(rng.randint(-2, 2), rng.randint(-2, 2)), F7.one())
             gamma = space.s_value(w, v)
-            u_w = vec_sub(w, vec_scale(gamma, v))
+            u_w = vec_add(w, vec_scale(-gamma, v))
             theta_w = -space.h_value(u_w)
             alg = build_algebra(space, v)
             ww = alg.mul(alg.from_space(w), alg.from_space(w))
@@ -312,7 +323,7 @@ def _random_invertible(rng):
     while True:
         m = [[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2))) for _ in range(4)]
              for _ in range(4)]
-        if linalg.mat_det(m) != 0:
+        if mat_det(m) != 0:
             return m
 
 
@@ -326,13 +337,13 @@ def _reparsed(rng, order, emb=None):
     alg = order.algebra
     old = alg.table
     m = _random_invertible(rng)
-    m_inv = linalg.mat_inverse(m)
+    m_inv = mat_inverse(m)
     table = []
     for i in range(4):
         left = [linalg.vec_mat(m[i], [old[k][l] for k in range(4)]) for l in range(4)]
         table.append(linalg.mat_mul(linalg.mat_mul(m, left), m_inv))
     u = _random_unimodular(rng)
-    u_inv = linalg.mat_inverse(u)
+    u_inv = mat_inverse(u)
     obj = {
         "d": alg.field.d,
         "mult_table": [[[jsonio.rat_str(x) for x in e] for e in row] for row in table],
@@ -362,14 +373,14 @@ def _represented_rows(count):
 
 
 def _reference_products(alg, zbasis):
-    zinv = linalg.mat_inverse(zbasis)
+    zinv = mat_inverse(zbasis)
     return [[linalg.vec_mat(alg.mul(zbasis[i], zbasis[j]), zinv) for j in range(4)]
             for i in range(4)]
 
 
 def _reference_trace_det(alg, rows):
     tr = [[alg.reduced_trace(alg.mul(x, y)) for y in rows] for x in rows]
-    return linalg.mat_det(tr)
+    return mat_det(tr)
 
 
 class TestIntegerKernel:
@@ -381,11 +392,12 @@ class TestIntegerKernel:
             for o in (order, _reparsed(rng, order)[0]):
                 assert o.products == _reference_products(o.algebra, o.zbasis)
                 assert all(type(c) is int for row in o.products for p in row for c in p)
-                zinv = linalg.mat_inverse(o.zbasis)
+                zinv = mat_inverse(o.zbasis)
                 for x in ([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(4)],
                           o.element([rng.randint(-3, 3) for _ in range(4)])):
                     coords = linalg.vec_mat(x, zinv)
-                    assert o.coords_of(x) == coords
+                    c, q = o._coord_numerators(x)
+                    assert [Fraction(t, q) for t in c] == coords
                     assert o.contains(x) == all(c.denominator == 1 for c in coords)
         assert built >= 30
         for order, _ in (m2z_order(), hurwitz_order()):
@@ -408,7 +420,7 @@ class TestIntegerKernel:
                     [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(4)]
                     for _ in range(3)
                 ]
-                if linalg.mat_det(rows) != 0:
+                if mat_det(rows) != 0:
                     break
             zbasis = linalg.mat_mul(_random_unimodular(rng), rows)
             ref = _reference_products(alg, zbasis)
@@ -454,17 +466,17 @@ class TestIntegerKernel:
             lattice_disc(alg, rows)
 
     def test_closed_form_frame_inverse(self):
+        # from_space on the integer frame inverse against the Fraction
+        # inverse of the reference frame
         rng = random.Random(45)
         for k in range(24):
             field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
             space, point = random_pointed_space(rng, field)
             alg = build_algebra(space, point)
-            fin, q = alg._frame_inv
-            frame_inv = [[Fraction(x, q) for x in row] for row in fin]
-            assert linalg.mat_mul(alg.frame, frame_inv) == identity_matrix(4)
+            frame_inv = mat_inverse(reference_frame(space, point))
             for _ in range(5):
                 x = [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(4)]
-                assert alg.from_space(alg.to_space(x)) == x
+                assert alg.from_space(vec_from_coords(field, x)) == linalg.vec_mat(x, frame_inv)
 
     def test_frame_and_theta_match_qelem_reference(self):
         # the integer build against the QElem construction it replaced:
@@ -475,13 +487,10 @@ class TestIntegerKernel:
             field = QuadField(CLOSED_FORM_FIELDS[k % len(CLOSED_FORM_FIELDS)])
             space, point = random_pointed_space(rng, field)
             alg = build_algebra(space, point)
-            e1, e2 = vec(field, 1, 0), vec(field, 0, 1)
-            w = e1 if point[1] != 0 else e2
-            u = vec_sub(w, vec_scale(space.s_value(w, point), point))
-            omega = field.omega()
-            frame = [point, vec_scale(omega, point), u, vec_scale(omega, u)]
-            assert alg.theta == -space.h_value(u)
-            assert alg.frame == [[x.a, x.b, y.a, y.b] for x, y in frame]
+            frame = reference_frame(space, point)
+            assert alg.theta == -space.h_value(vec_from_coords(field, frame[2]))
+            fin, q = alg._frame_inv
+            assert linalg.mat_mul(frame, fin) == [[q * x for x in row] for row in identity_matrix(4)]
 
     def test_embedding_rejects_bad_omega_image(self):
         order, emb = m2z_order()
@@ -534,8 +543,9 @@ class TestIntegerKernel:
         # from-order reads the reduced norm from the integer trace table and
         # decides optimality on integer minors: count the calls into
         # fractions.py per call on 20 order files from d = -7, h = 2 rows,
-        # every QuatAlgebra.mul under reduced_norm or norm_gram, and every
-        # call into fractions.py or the HNF under is_optimal
+        # every QuatAlgebra.mul under reduced_norm or norm_gram, every call
+        # into fractions.py or the HNF under is_optimal, and every call into
+        # qfield.py under discriminant_form, which reads the integer Gram
         paths = []
         for k, row in enumerate(_represented_rows(20)):
             path = tmp_path / f"order{k}.json"
@@ -543,7 +553,7 @@ class TestIntegerKernel:
             paths.append(str(path))
         source = fractions.__file__
         norm_codes = {QuatAlgebra.reduced_norm.__code__, QuatAlgebra.norm_gram.__code__}
-        calls = muls_under_norm = under_optimal = 0
+        calls = muls_under_norm = under_optimal = qfield_under_disc = 0
 
         def called_from(frame, codes):
             caller = frame.f_back
@@ -552,7 +562,7 @@ class TestIntegerKernel:
             return caller is not None
 
         def count(frame, event, arg):
-            nonlocal calls, muls_under_norm, under_optimal
+            nonlocal calls, muls_under_norm, under_optimal, qfield_under_disc
             if event != "call":
                 return
             code = frame.f_code
@@ -560,6 +570,8 @@ class TestIntegerKernel:
                 calls += 1
             elif code is QuatAlgebra.mul.__code__:
                 muls_under_norm += called_from(frame, norm_codes)
+            elif code.co_filename == qfield.__file__:
+                qfield_under_disc += called_from(frame, {discriminant_form.__code__})
             if code.co_filename == source or code is linalg._hnf_engine.__code__:
                 under_optimal += called_from(frame, {is_optimal.__code__})
 
@@ -578,6 +590,7 @@ class TestIntegerKernel:
         assert max(n for _, n in per_call) <= 6_000
         assert muls_under_norm == 0
         assert under_optimal == 0
+        assert qfield_under_disc == 0
 
 
 class TestRoundTrips:
@@ -675,16 +688,19 @@ class TestM2Z:
             [alg.reduced_trace(alg.mul(basis[i], basis[j])) for j in range(4)]
             for i in range(4)
         ]
-        assert linalg.mat_det(tr) == -1
+        assert mat_det(tr) == -1
 
     def test_optimal(self):
         order, emb = m2z_order()
         assert is_optimal(emb)
 
     def test_relation(self):
+        # Delta(Lambda) = D * d(Lambda, n): the trace pairing against the
+        # integer Gram of the pulled-back form
         order, emb = m2z_order()
-        lhs, rhs, equal = discr_relation_check(order, emb)
-        assert equal and lhs.value == 1 and rhs.value == 1
+        pointed = order_to_pointed(order, emb)
+        rhs = F3.D * det_form(pointed.space, pointed.lattice).value
+        assert order.discriminant().value == rhs == 1
 
 
 class TestHurwitz:
@@ -701,8 +717,9 @@ class TestHurwitz:
 
     def test_relation_and_optimality(self):
         order, emb = hurwitz_order()
-        lhs, rhs, equal = discr_relation_check(order, emb)
-        assert equal and lhs.value == -2
+        pointed = order_to_pointed(order, emb)
+        rhs = F3.D * det_form(pointed.space, pointed.lattice).value
+        assert order.discriminant().value == rhs == -2
         assert is_optimal(emb)
 
 
@@ -761,6 +778,69 @@ class TestDiscRelationRandom:
                 lhs = lattice_disc(alg, rows)
                 rhs = field.D * det_form(space, lat).value
                 assert lhs.value == rhs
+
+
+# ---------------------------------------------------------------------------
+# Change of point: right multiplication by u in the algebra built at v
+
+
+class Isometry:
+    """An L-linear h-preserving map of V, optionally lattice-preserving."""
+
+    def __init__(self, space, matrix_q, lattice=None, point_map=None):
+        field = space.field
+        self.space = space
+        self.matrix_q = [[Fraction(x) for x in row] for row in matrix_q]
+        img1 = vec_from_coords(field, self.matrix_q[0])
+        img2 = vec_from_coords(field, self.matrix_q[2])
+        omega = field.omega()
+        if (
+            self.matrix_q[1] != vec_coords(vec_scale(omega, img1))
+            or self.matrix_q[3] != vec_coords(vec_scale(omega, img2))
+        ):
+            raise InvariantViolation("matrix is not L-linear")
+        g = space.gram4()
+        transported = linalg.mat_mul(
+            linalg.mat_mul(self.matrix_q, g), linalg.mat_transpose(self.matrix_q)
+        )
+        if transported != g:
+            raise InvariantViolation("matrix does not preserve the hermitian form")
+        if point_map is not None:
+            src, dst = point_map
+            if self.apply(src) != dst:
+                raise InvariantViolation("isometry does not map the designated points")
+        if lattice is not None:
+            for v in lattice.basis:
+                if not lattice.contains(self.apply(v)):
+                    raise InvariantViolation("isometry does not preserve the lattice")
+
+    def apply(self, v):
+        return vec_from_coords(
+            self.space.field, linalg.vec_mat(vec_coords(v), self.matrix_q)
+        )
+
+    def compose(self, other):
+        """self followed by other."""
+        return Isometry(self.space, linalg.mat_mul(self.matrix_q, other.matrix_q))
+
+
+def change_point(space, lattice, v, u):
+    """Right multiplication by u in the algebra built at v.
+
+    Both points must have h = 1 and u must lie in the lattice; the result
+    maps v to u, preserves h exactly and maps the lattice into itself.
+    """
+    if space.h_value(u) != 1:
+        raise InputError("target point must satisfy h(u) = 1")
+    if not lattice.contains(u) or not lattice.contains(v):
+        raise MembershipError("points must lie in the lattice")
+    alg = build_algebra(space, v)
+    u_alg = alg.from_space(u)
+    rmul = [alg.mul(e, u_alg) for e in std_basis()]
+    fin, q = alg._frame_inv
+    frame_inv = [[Fraction(x, q) for x in row] for row in fin]
+    matrix_q = linalg.mat_mul(linalg.mat_mul(frame_inv, rmul), mat_inverse(frame_inv))
+    return Isometry(space, matrix_q, lattice=lattice, point_map=(v, u))
 
 
 class TestChangePoint:

@@ -19,7 +19,6 @@ from hermquat import (
     hensel_liftable,
     local_test,
     represents_one_integral,
-    represents_one_rational,
     surviving_forms,
     vec,
 )
@@ -32,7 +31,6 @@ from hermquat.errors import (
     NotIntegralError,
     UnsupportedRamificationError,
 )
-from hermquat.hermitian import gram_on_basis
 from hermquat import hermitian, represent
 from hermquat.represent import (
     METHOD_DIRECT_HENSEL,
@@ -41,6 +39,7 @@ from hermquat.represent import (
     RepresentConfig,
     local_prime_set,
 )
+from fraction_reference import gram_on_basis
 from tests_fixtures import random_b_stable_pairs
 
 F7 = QuadField(-7)
@@ -144,28 +143,6 @@ def _valp(n, p):
         n //= p
         v += 1
     return v
-
-
-class TestRational:
-    def test_positive_definite(self):
-        ok, witness = represents_one_rational(HermSpace(F7, 1, 1, F7.zero()))
-        assert ok and witness is not None
-        assert HermSpace(F7, 1, 1, F7.zero()).h_value(witness) == 1
-
-    def test_negative_definite(self):
-        ok, witness = represents_one_rational(HermSpace(F7, -1, -1, F7.zero()))
-        assert not ok and witness is None
-
-    def test_indefinite(self):
-        ok, _ = represents_one_rational(SPLIT7)
-        assert ok
-
-    def test_witness_with_denominator(self):
-        # h = 4 n(x) - 4 n(y): no integral witness, but h((1/2, 0)) = 1
-        space = HermSpace(F7, 4, -4, F7.zero())
-        ok, witness = represents_one_rational(space)
-        assert ok and witness is not None
-        assert space.h_value(witness) == 1
 
 
 class TestLocal:
@@ -523,9 +500,10 @@ class TestGlobalSearch:
                             c = (c1, c2, c3, c4)
                             if max(abs(t) for t in c) != h:
                                 continue
-                            from hermquat.linalg import evaluate_quadratic
-
-                            if evaluate_quadratic(gram, c) == 1:
+                            value = sum(
+                                c[i] * gram[i][j] * c[j] for i in range(4) for j in range(4)
+                            )
+                            if value == 1:
                                 expected = lattice.from_integer_coords(c)
                                 break
         assert expected is not None
@@ -581,7 +559,6 @@ class TestPipeline:
     # square-free and locally solvable everywhere, but no witness lies in
     # the box of height 2
     EXHAUSTED7 = HermSpace(F7, 3, -10007, F7.zero())
-    OWN_PRIMES = (2, 3, 7, 10007)
 
     def test_exhausted_indefinite_factors_delta_once(self, monkeypatch):
         calls = []
@@ -595,29 +572,11 @@ class TestPipeline:
         # 2 and the field's ramified primes; the local tests at those primes
         # already proved |Delta| square-free
         assert calls == [210147]
-        calls.clear()
-        report = represents_one_integral(
-            space, STD7, RepresentConfig(search_bound=2, primes=self.OWN_PRIMES)
-        )
-        assert report.verdict == VERDICT_SEARCH_EXHAUSTED
-        # the same record answers the square-free question without factoring
-        assert calls == []
-        fresh = HermSpace(F7, 3, -10007, F7.zero())
-        report = represents_one_integral(
-            fresh, STD7, RepresentConfig(search_bound=2, primes=self.OWN_PRIMES)
-        )
-        assert report.verdict == VERDICT_SEARCH_EXHAUSTED
-        # a caller's prime set proves nothing about |Delta|, so it is factored
-        assert calls == [210147]
 
     def test_exhausted_indefinite_warns(self, caplog):
-        for primes in (None, self.OWN_PRIMES):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="hermquat.represent"):
-                represents_one_integral(
-                    self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2, primes=primes)
-                )
-            assert "a witness is guaranteed to exist" in caplog.text
+        with caplog.at_level(logging.WARNING, logger="hermquat.represent"):
+            represents_one_integral(self.EXHAUSTED7, STD7, RepresentConfig(search_bound=2))
+        assert "a witness is guaranteed to exist" in caplog.text
 
     def test_even_discriminant_rejected(self):
         space = HermSpace(F2, 1, -1, F2.zero())
@@ -641,4 +600,4 @@ class TestPipeline:
         report = represents_one_integral(space, lattice)
         assert report.verdict == VERDICT_REPRESENTED
         # frozen first witness in enumeration order (unit of determinant 1)
-        assert lattice.coords_of(report.witness) == [-1, -1, 0, -1]
+        assert report.witness == lattice.from_integer_coords([-1, -1, 0, -1])

@@ -74,7 +74,7 @@ def hamilton_table():
 
 
 def m2z_order():
-    alg = QuatAlgebra(F3, matrix_units_table(), one=[1, 0, 0, 1], validate=True)
+    alg = QuatAlgebra(F3, matrix_units_table(), one=[1, 0, 0, 1])
     order = QuatOrder(alg, linalg.int_identity(4))
     emb = Embedding(order, [0, -1, 1, 1])  # [[0, -1], [1, 1]], root of x^2 - x + 1
     return order, emb
@@ -87,7 +87,7 @@ def m2z_pointed():
 
 
 def hurwitz_order():
-    alg = QuatAlgebra(F3, hamilton_table(), validate=True)
+    alg = QuatAlgebra(F3, hamilton_table())
     half = Fraction(1, 2)
     order = QuatOrder(
         alg, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [half, half, half, half]]
