@@ -2,16 +2,18 @@
 sweep, verify.  JSON in, JSON/CSV/text out; exit codes are a stable
 contract: 0 ok, 1 verify failure, 2 bad input, 3 no point found, 4
 representation obstruction, 5 search exhausted.
+
+Start-up loads only the form side: each subcommand imports the layers it
+runs, and the parser is built on the first call of ``main``.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
+import functools
 import io
 import sys
 
-from . import jsonio, verify
+from . import jsonio
 from .errors import (
     DegenerateFormError,
     Error,
@@ -21,15 +23,6 @@ from .errors import (
 )
 from .hermitian import det_form, discriminant_form
 from .qfield import QuadField
-from .quaternion import build_order, is_optimal, order_to_pointed
-from .represent import (
-    VERDICT_LOCAL_OBSTRUCTION,
-    VERDICT_REAL_OBSTRUCTION,
-    VERDICT_REPRESENTED,
-    RepresentConfig,
-    represents_one_integral,
-)
-from .sweep import run_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -117,6 +110,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build_order(args) -> int:
+    from .quaternion import build_order
+    from .represent import RepresentConfig, represents_one_integral
+
     space, lattice, file_point = jsonio.parse_form(_read_json(args.form))
     config = RepresentConfig(search_bound=args.search_bound)
     if args.point:
@@ -141,6 +137,8 @@ def cmd_build_order(args) -> int:
 
 
 def cmd_from_order(args) -> int:
+    from .quaternion import is_optimal, order_to_pointed
+
     order, emb = jsonio.parse_order(_read_json(args.order))
     if emb is None:
         raise InputError("order file carries no omega_image (embedding)")
@@ -159,6 +157,11 @@ def cmd_from_order(args) -> int:
 
 
 def cmd_represent_one(args) -> int:
+    from .represent import (
+        VERDICT_LOCAL_OBSTRUCTION, VERDICT_REAL_OBSTRUCTION, VERDICT_REPRESENTED,
+        RepresentConfig, represents_one_integral,
+    )
+
     space, lattice, _ = jsonio.parse_form(_read_json(args.form))
     config = RepresentConfig(search_bound=args.search_bound)
     report = represents_one_integral(space, lattice, config)
@@ -177,6 +180,8 @@ def _csv_cell(value):
 
 
 def _csv_rows(rows):
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(jsonio.SWEEP_COLUMNS)
@@ -190,6 +195,9 @@ def _csv_rows(rows):
 
 
 def cmd_sweep(args) -> int:
+    from .represent import RepresentConfig
+    from .sweep import run_sweep
+
     field = QuadField(args.d)
     config = RepresentConfig(search_bound=args.search_bound)
     rows = run_sweep(field, args.height, config, target_disc=args.target_disc)
@@ -201,6 +209,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_suites([args.suite], seed=args.seed)
     failed = False
     for result in results:
@@ -216,7 +226,10 @@ def cmd_verify(args) -> int:
 # Parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hermquat",
         description=(
@@ -269,11 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = _build_parser()
-
-
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if getattr(args, "height", 1) <= 0 or getattr(args, "search_bound", 1) <= 0:
         print("error: bounds must be positive", file=sys.stderr)
         return EXIT_INPUT

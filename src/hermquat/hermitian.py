@@ -10,7 +10,6 @@ omega.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt, lcm
@@ -43,12 +42,51 @@ class Definiteness(Enum):
     DEGENERATE = "Degenerate"
 
 
-@dataclass(frozen=True)
-class DiscValue:
+class Record:
+    """Field equality and a field-listing repr, read from ``__slots__``."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"{type(self).__name__}({args})"
+
+
+class FrozenRecord(Record):
+    """A record whose ``__init__`` sets its fields once, in ``__slots__`` order
+    (copies and pickles rebuild it that way); it hashes its fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class DiscValue(FrozenRecord):
     """A signed rational invariant together with its sign convention."""
 
-    value: Fraction
-    convention: str
+    __slots__ = ("value", "convention")
+
+    def __init__(self, value: Fraction, convention: str):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "convention", convention)
 
     @property
     def as_ideal(self) -> Fraction:
@@ -57,12 +95,6 @@ class DiscValue:
 
 # ---------------------------------------------------------------------------
 # Vectors in L^2
-
-
-def vec(field: QuadField, x, y) -> Vector:
-    tx = x if isinstance(x, QElem) else field.elem(x)
-    ty = y if isinstance(y, QElem) else field.elem(y)
-    return (tx, ty)
 
 
 def vec_add(v: Vector, w: Vector) -> Vector:

@@ -14,9 +14,6 @@ from . import linalg
 from .errors import InputError
 from .hermitian import DiscValue, HermSpace, Lattice, Vector
 from .qfield import QElem, QuadField
-from .quaternion import Embedding, QuatAlgebra, QuatOrder
-from .represent import Certificate, LocalReport, RepOneReport
-from .sweep import SweepRow
 
 
 def rat_str(x) -> str:
@@ -133,7 +130,7 @@ def disc_obj(dv: DiscValue) -> dict:
     }
 
 
-def order_obj(order: QuatOrder, emb: Embedding | None = None) -> dict:
+def order_obj(order: "QuatOrder", emb: "Embedding | None" = None) -> dict:
     alg = order.algebra
     out = {
         "d": alg.field.d,
@@ -150,6 +147,8 @@ def order_obj(order: QuatOrder, emb: Embedding | None = None) -> dict:
 
 def parse_order(obj):
     """Returns (order, embedding_or_None) from the order JSON schema."""
+    from .quaternion import Embedding, QuatAlgebra, QuatOrder
+
     field = parse_field(obj)
     for key in ("mult_table", "zbasis", "one"):
         if key not in obj:
@@ -175,7 +174,7 @@ def parse_order(obj):
     return order, emb
 
 
-def certificate_obj(cert: Certificate) -> dict:
+def certificate_obj(cert: "Certificate") -> dict:
     return {
         "vector": list(cert.vector),
         "modulus_exponent": cert.modulus_exponent,
@@ -183,7 +182,7 @@ def certificate_obj(cert: Certificate) -> dict:
     }
 
 
-def local_report_obj(rep: LocalReport) -> dict:
+def local_report_obj(rep: "LocalReport") -> dict:
     return {
         "p": rep.prime,
         "solvable": rep.solvable,
@@ -192,7 +191,7 @@ def local_report_obj(rep: LocalReport) -> dict:
     }
 
 
-def report_obj(rep: RepOneReport) -> dict:
+def report_obj(rep: "RepOneReport") -> dict:
     return {
         "real_ok": rep.real_ok,
         "locals": [local_report_obj(r) for r in rep.locals],
@@ -216,7 +215,7 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep_row_obj(row: SweepRow) -> dict:
+def sweep_row_obj(row: "SweepRow") -> dict:
     """One sweep row keyed by SWEEP_COLUMNS; the CLI's CSV cells derive from it."""
     witness = row.report.witness
     return {

@@ -199,9 +199,6 @@ class QElem:
             raise InputError(f"{self} is not rational")
         return self.a
 
-    def is_integral(self) -> bool:
-        return self.a.denominator == 1 and self.b.denominator == 1
-
     def __repr__(self) -> str:
         return f"QElem({self.field.d}, {self.a}, {self.b})"
 

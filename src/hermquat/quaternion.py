@@ -37,7 +37,11 @@ from .qfield import QuadField
 
 
 def _table_numerators(a, b, theta: Fraction):
-    """``algebra_table(a, b, theta)`` as integers over the denominator of theta."""
+    """Structure constants of K[pi] + K[pi].u on the basis (1, pi, u, pi*u).
+
+    Here pi is a root of x^2 + a*x + b, u^2 = theta and u*m = conj(m)*u;
+    the table is returned as integers over the denominator of theta.
+    """
     t, s = theta.numerator, theta.denominator
     e0, e1, e2, e3 = ([s * int(i == j) for j in range(4)] for i in range(4))
     return [
@@ -46,15 +50,6 @@ def _table_numerators(a, b, theta: Fraction):
         [e2, [0, 0, -a * s, -s], [t, 0, 0, 0], [-a * t, -t, 0, 0]],
         [e3, [0, 0, b * s, 0], [0, t, 0, 0], [b * t, 0, 0, 0]],
     ], s
-
-
-def algebra_table(a, b, theta):
-    """Structure constants of K[pi] + K[pi].u on the basis (1, pi, u, pi*u).
-
-    Here pi is a root of x^2 + a*x + b, u^2 = theta and u*m = conj(m)*u.
-    """
-    tn, td = _table_numerators(a, b, Fraction(theta))
-    return [_rational(row, td) for row in tn]
 
 
 def _rational(rows, den):
@@ -172,13 +167,6 @@ class QuatAlgebra:
                     if lhs != rhs:
                         fails.append((i, j, k))
         return fails
-
-    def reduced_trace(self, x) -> Fraction:
-        return Fraction(sum(map(mul, x, self._trace_v)), 2 * self._td)
-
-    def conj(self, x):
-        t = self.reduced_trace(x)
-        return [t * o - xi for o, xi in zip(self.one, x)]
 
     def reduced_norm(self, x) -> Fraction:
         (xn,), xd = linalg.scaled_integer_matrix([x])
@@ -368,10 +356,6 @@ class QuatOrder:
         (xn,), xd = linalg.scaled_integer_matrix([x])
         zinv, det = self._zinv
         return linalg.vec_mat(xn, zinv), xd * det
-
-    def contains(self, x) -> bool:
-        c, q = self._coord_numerators(x)
-        return not any(v % q for v in c)
 
     def element(self, coords):
         return linalg.vec_mat([Fraction(c) for c in coords], self.zbasis)

@@ -9,8 +9,6 @@ constructive.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from math import isqrt
 
 from . import linalg
@@ -21,17 +19,8 @@ from .errors import (
     InvariantViolation,
     UnsupportedRamificationError,
 )
-from .hermitian import (
-    Definiteness,
-    DiscValue,
-    HermSpace,
-    IntegralForm,
-    Lattice,
-    Vector,
-)
+from .hermitian import Definiteness, FrozenRecord, HermSpace, IntegralForm, Lattice, Record
 from .qfield import QuadField, SplitType, splitting
-
-logger = logging.getLogger(__name__)
 
 VERDICT_REPRESENTED = "Represented"
 VERDICT_REAL_OBSTRUCTION = "RealObstruction"
@@ -43,40 +32,50 @@ METHOD_RAMIFIED_DIAGONAL = "RamifiedTwoUnitDiagonal"
 METHOD_DIRECT_HENSEL = "DirectHensel"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(FrozenRecord):
     """An approximate local solution: a vector mod p^modulus_exponent.
 
     Satisfies val_p(h(x) - 1) >= 2*hensel_t + 1 with gradient valuation at
     most hensel_t, hence lifts to an exact p-adic solution.
     """
 
-    vector: tuple[int, ...]
-    modulus_exponent: int
-    hensel_t: int
+    __slots__ = ("vector", "modulus_exponent", "hensel_t")
+
+    def __init__(self, vector: tuple[int, ...], modulus_exponent: int, hensel_t: int):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "modulus_exponent", modulus_exponent)
+        object.__setattr__(self, "hensel_t", hensel_t)
 
 
-@dataclass
-class LocalReport:
-    prime: int
-    solvable: bool
-    method: str | None = None
-    certificate: Certificate | None = None
+class LocalReport(Record):
+    __slots__ = ("prime", "solvable", "method", "certificate")
+
+    def __init__(self, prime: int, solvable: bool, method=None, certificate=None):
+        self.prime = prime
+        self.solvable = solvable
+        self.method = method
+        self.certificate = certificate
 
 
-@dataclass
-class RepresentConfig:
-    search_bound: int = 50
+class RepresentConfig(Record):
+    __slots__ = ("search_bound",)
+
+    def __init__(self, search_bound: int = 50):
+        self.search_bound = search_bound
 
 
-@dataclass
-class RepOneReport:
-    real_ok: bool
-    locals: list[LocalReport]
-    witness: Vector | None
-    verdict: str
-    obstruction_prime: int | None = None
-    discriminant: DiscValue | None = None
+class RepOneReport(Record):
+    __slots__ = ("real_ok", "locals", "witness", "verdict", "obstruction_prime", "discriminant")
+
+    def __init__(
+        self, real_ok, locals, witness, verdict, obstruction_prime=None, discriminant=None
+    ):
+        self.real_ok = real_ok
+        self.locals = locals
+        self.witness = witness
+        self.verdict = verdict
+        self.obstruction_prime = obstruction_prime
+        self.discriminant = discriminant
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +384,9 @@ def represents_one_integral(
         )
     sf = all(e == 1 for e in form.delta_factors().values())
     if defin == Definiteness.INDEFINITE and sf:
-        logger.warning(
+        import logging  # on this path only, so that no command loads it up front
+
+        logging.getLogger(__name__).warning(
             "indefinite form with square-free |Delta| = %s exhausted the search "
             "bound %s; a witness is guaranteed to exist",
             delta.as_ideal,

@@ -8,36 +8,34 @@ most H; rows are ordered lexicographically by (alpha, beta, gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotIntegralError
-from .hermitian import (
-    Definiteness,
-    DiscValue,
-    HermSpace,
-    Lattice,
-)
-from .qfield import QElem, QuadField
+from .hermitian import HermSpace, Lattice, Record
+from .qfield import QuadField
 from .quaternion import build_order
-from .represent import (
-    VERDICT_REPRESENTED,
-    RepOneReport,
-    RepresentConfig,
-    represents_one_integral,
-)
+from .represent import VERDICT_REPRESENTED, RepresentConfig, represents_one_integral
 
 
-@dataclass
-class SweepRow:
-    alpha: int
-    beta: int
-    gamma: QElem
-    space: HermSpace
-    delta: DiscValue
-    definiteness: Definiteness
-    report: RepOneReport
-    order_disc: DiscValue | None
-    discs_equal: bool | None
+class SweepRow(Record):
+    """A form of the window with its space, Delta, definiteness and decision,
+    and for a found point the order's discriminant and whether it is Delta."""
+
+    __slots__ = (
+        "alpha", "beta", "gamma", "space", "delta", "definiteness", "report",
+        "order_disc", "discs_equal",
+    )
+
+    def __init__(
+        self, alpha, beta, gamma, space, delta, definiteness, report, order_disc, discs_equal
+    ):
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
+        self.space = space
+        self.delta = delta
+        self.definiteness = definiteness
+        self.report = report
+        self.order_disc = order_disc
+        self.discs_equal = discs_equal
 
 
 def iter_candidate_forms(field: QuadField, height: int):
@@ -94,18 +92,6 @@ def run_sweep(
     for alpha, beta, gamma, space, lattice, delta in surviving_forms(field, height):
         if target_disc is not None and delta.value != target_disc:
             continue
-        report, order_disc, discs_equal = run_row(space, lattice, delta, config)
-        rows.append(
-            SweepRow(
-                alpha=alpha,
-                beta=beta,
-                gamma=gamma,
-                space=space,
-                delta=delta,
-                definiteness=space.definiteness(),
-                report=report,
-                order_disc=order_disc,
-                discs_equal=discs_equal,
-            )
-        )
+        decision = run_row(space, lattice, delta, config)  # report, order_disc, discs_equal
+        rows.append(SweepRow(alpha, beta, gamma, space, delta, space.definiteness(), *decision))
     return rows

@@ -18,14 +18,59 @@ entries, builds the frame of an algebra in integers, and compares lattices
 by an index; the tests compare these with alpha*beta - n(gamma) in
 Fractions, with the bilinear form on whole vectors, with the QElem
 construction of the frame, and with Hermite normal forms.
+
+It also holds the constructors and the algebra operations only the tests
+use: ``vec``, ``is_integral_elem``, ``algebra_table``, ``reduced_trace``
+and ``conj``.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from hermquat import FORM_SIGN_CONVENTION, Definiteness, DiscValue, linalg, vec
+from hermquat import FORM_SIGN_CONVENTION, Definiteness, DiscValue, QElem, linalg
 from hermquat.errors import DegenerateFormError, InputError, RankError
 from hermquat.hermitian import vec_coords, vec_from_coords, vec_scale
+
+
+def vec(field, x, y):
+    """The vector (x, y) of L^2; rational entries become field elements."""
+    tx = x if isinstance(x, QElem) else field.elem(x)
+    ty = y if isinstance(y, QElem) else field.elem(y)
+    return (tx, ty)
+
+
+def is_integral_elem(x) -> bool:
+    """Whether the field element x lies in the ring of integers."""
+    return x.a.denominator == 1 and x.b.denominator == 1
+
+
+def algebra_table(a, b, theta):
+    """Structure constants of K[pi] + K[pi].u on the basis (1, pi, u, pi*u).
+
+    Here pi is a root of x^2 + a*x + b, u^2 = theta and u*m = conj(m)*u;
+    ``table[i][j]`` lists the coordinates of e_i * e_j.
+    """
+    t = Fraction(theta)
+    e0, e1, e2, e3 = ([int(i == j) for j in range(4)] for i in range(4))
+    table = [
+        [e0, e1, e2, e3],
+        [e1, [-b, -a, 0, 0], e3, [0, 0, -b, -a]],
+        [e2, [0, 0, -a, -1], [t, 0, 0, 0], [-a * t, -t, 0, 0]],
+        [e3, [0, 0, b, 0], [0, t, 0, 0], [b * t, 0, 0, 0]],
+    ]
+    return [[[Fraction(c) for c in entry] for entry in row] for row in table]
+
+
+def reduced_trace(alg, x) -> Fraction:
+    """trd(x) = tr(y -> x*y) / 2, the left-multiplication trace read from ``alg.table``."""
+    table = alg.table
+    return sum(x[a] * table[a][b][b] for a in range(4) for b in range(4)) / 2
+
+
+def conj(alg, x):
+    """The conjugate trd(x) * 1 - x."""
+    t = reduced_trace(alg, x)
+    return [t * o - xi for o, xi in zip(alg.one, x)]
 
 
 def identity_matrix(n: int) -> list[list[Fraction]]:
@@ -136,8 +181,8 @@ def signature(sym):
 
 
 def reduced_norm(alg, x) -> Fraction:
-    """n(x) from x * conj(x) = n(x) * 1, through ``alg.mul`` and ``alg.conj``."""
-    z = alg.mul(x, alg.conj(x))
+    """n(x) from x * conj(x) = n(x) * 1, through ``alg.mul`` and ``conj``."""
+    z = alg.mul(x, conj(alg, x))
     k = next(i for i in range(4) if alg.one[i])
     c = z[k] / alg.one[k]
     if z != [c * o for o in alg.one]:

@@ -22,7 +22,6 @@ from hermquat import (
     QuadField,
     QuatAlgebra,
     RepresentConfig,
-    algebra_table,
     build_order,
     discriminant_form,
     linalg,
@@ -41,7 +40,7 @@ from hermquat.verify import (
     suite_order,
     suite_polarize,
 )
-from fraction_reference import mat_det
+from fraction_reference import algebra_table, mat_det, reduced_trace
 from tests_fixtures import m2z_order
 
 SEED = 20240801
@@ -123,7 +122,7 @@ def test_trace_matrix_formula():
             continue  # x^2 + a x + b must be irreducible over Q
         alg = QuatAlgebra(None, algebra_table(a, b, theta))
         tr = [
-            [alg.reduced_trace(alg.mul(basis[i], basis[j])) for j in range(4)]
+            [reduced_trace(alg, alg.mul(basis[i], basis[j])) for j in range(4)]
             for i in range(4)
         ]
         expected = -Fraction(disc) ** 2 * theta**2

@@ -24,10 +24,10 @@ from hermquat import (
     jsonio,
     lattice_from_B_basis,
     qfield,
-    vec,
 )
 from hermquat.cli import main
 from hermquat.errors import InvariantViolation
+from fraction_reference import vec
 from tests_fixtures import m2z_order
 
 F7 = QuadField(-7)
@@ -516,3 +516,62 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["discriminant"]["value"] == "7"
+
+
+# The benchmark's set-up: import the package, the CLI and jsonio, and build
+# fields and their standard lattices; prints the modules this newly loads.
+STARTUP = """
+import sys
+before = set(sys.modules)
+import hermquat
+from hermquat import cli, jsonio
+for d in (-3, -7):
+    hermquat.Lattice.standard(hermquat.QuadField(d))
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestStartUp:
+    # loaded only by the commands that run them: dataclasses and inspect
+    # cost about 10 ms of import, argparse pulls in locale and gettext
+    DEFERRED = {
+        "dataclasses", "inspect", "logging", "argparse", "hermquat.quaternion",
+        "hermquat.represent", "hermquat.sweep", "hermquat.verify",
+    }
+
+    def test_set_up_loads_only_the_form_side(self):
+        package_root = str(Path(hermquat.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP], capture_output=True, text=True, env=env, check=True
+        )
+        loaded = set(proc.stdout.split())
+        assert {"hermquat.cli", "hermquat.hermitian", "hermquat.jsonio"} <= loaded
+        assert not loaded & self.DEFERRED, sorted(loaded & self.DEFERRED)
+
+    def test_exported_names_resolve_to_their_modules(self, monkeypatch):
+        import importlib
+
+        for name, module in hermquat._EXPORTS.items():
+            source = importlib.import_module(f"hermquat.{module}")
+            assert getattr(hermquat, name) is getattr(source, name), name
+        # the package reads a name from its module at each access and keeps
+        # no copy, so a rebinding is seen and leaves nothing behind
+        from hermquat import sweep
+
+        monkeypatch.setattr(sweep, "surviving_forms", len)
+        assert hermquat.surviving_forms is len
+        monkeypatch.undo()
+        assert hermquat.surviving_forms is sweep.surviving_forms
+        assert "surviving_forms" not in vars(hermquat)
+        with pytest.raises(AttributeError):
+            hermquat.no_such_name
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "represent-one" in capsys.readouterr().out

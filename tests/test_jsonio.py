@@ -13,11 +13,11 @@ from hermquat import (
     global_search,
     jsonio,
     represents_one_integral,
-    vec,
 )
 from hermquat.errors import DegenerateFormError, InputError, NotIntegralError
 from hermquat.hermitian import vec_scale
 from hermquat.verify import random_b_stable_lattice
+from fraction_reference import vec
 from tests_fixtures import m2z_order
 
 F7 = QuadField(-7)

@@ -20,7 +20,6 @@ from hermquat import (
     local_test,
     represents_one_integral,
     surviving_forms,
-    vec,
 )
 from hermquat.errors import (
     DegenerateFormError,
@@ -36,10 +35,12 @@ from hermquat.represent import (
     METHOD_DIRECT_HENSEL,
     METHOD_RAMIFIED_DIAGONAL,
     METHOD_UNRAMIFIED_UNIT,
+    Certificate,
+    LocalReport,
     RepresentConfig,
     local_prime_set,
 )
-from fraction_reference import gram_on_basis
+from fraction_reference import gram_on_basis, vec
 from tests_fixtures import random_b_stable_pairs
 
 F7 = QuadField(-7)
@@ -583,6 +584,18 @@ class TestPipeline:
         with pytest.raises(UnsupportedRamificationError):
             represents_one_integral(space, Lattice.standard(F2))
 
+    @pytest.mark.parametrize("d", (-1, -2))
+    def test_random_pointed_lattice_rejects_even_discriminant(self, d):
+        # every Delta on B^2 is divisible by 4 there, so the draw loop would
+        # never end; it raises before drawing anything
+        from hermquat.verify import random_integral_pointed_lattice
+
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(UnsupportedRamificationError):
+            random_integral_pointed_lattice(rng, QuadField(d))
+        assert rng.getstate() == state
+
     def test_hypothesis_error_propagates(self):
         scaled = HermSpace(F7, 7, -7, F7.zero())
         with pytest.raises(HypothesisError):
@@ -601,3 +614,37 @@ class TestPipeline:
         assert report.verdict == VERDICT_REPRESENTED
         # frozen first witness in enumeration order (unit of determinant 1)
         assert report.witness == lattice.from_integer_coords([-1, -1, 0, -1])
+
+
+class TestRecords:
+    def test_field_equality_and_repr(self):
+        assert LocalReport(7, True) == LocalReport(7, True, None, None)
+        assert LocalReport(7, True) != LocalReport(7, False)
+        assert RepresentConfig() != Certificate((1,), 1, 0)
+        assert repr(RepresentConfig()) == "RepresentConfig(search_bound=50)"
+        assert repr(Certificate((1, 2), 1, 0)) == (
+            "Certificate(vector=(1, 2), modulus_exponent=1, hensel_t=0)"
+        )
+
+    def test_only_the_immutable_records_hash(self):
+        assert len({Certificate((1, 2), 1, 0), Certificate((1, 2), 1, 0)}) == 1
+        delta = discriminant_form(SPLIT7, STD7)
+        assert hash(delta) == hash(discriminant_form(HermSpace(F7, 1, -1, F7.zero()), STD7))
+        for record in (LocalReport(7, True), RepresentConfig()):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_hashing_records_are_immutable(self):
+        import copy
+        import pickle
+
+        cert = Certificate((1, 2), 1, 0)
+        delta = discriminant_form(SPLIT7, STD7)
+        for record, field in ((cert, "hensel_t"), (delta, "value")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 5)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert copy.deepcopy(record) == record
+            assert pickle.loads(pickle.dumps(record)) == record
+        assert cert.hensel_t == 0 and delta.value == 7
