@@ -52,6 +52,16 @@ HEIGHT3_CSV_SHA256 = {
     -7: "6c9d840394d1aab8b35b156387b823e91aa858adbf7bf7df92a15884eefb0165",
 }
 
+# SHA-256 of `hermquat sweep --d <d> --height 2 --format csv` (search bound
+# 50) over fields with other splitting at 2 and 3, and with class number 2
+# (d = -15)
+HEIGHT2_CSV_SHA256 = {
+    -11: "7a264aa91eba72ac634373f243e1e959b5c6453c926de954497bdda2f0771822",
+    -15: "48f103f90ec7742bc782d7fb983dda2202733ad6b17562c0372c7e60f9badcd2",
+    -19: "f02f91b1a5c95c20731d3179b3131e39ee13471b9a1c45566be5e5e2775db8a5",
+    -23: "aa7b9a6f8f7e050a423afe93da32ff6ffdde3630bceba908afbfae8a92af73d6",
+}
+
 
 def report(name: str, ok: bool, detail: str = ""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} {detail}".rstrip())
@@ -202,6 +212,18 @@ def test_sweep_csv_byte_identical(desk_sweep):
     ok = digests == HEIGHT3_CSV_SHA256
     counts = {d: len(rows) for d, rows in desk_sweep.items()}
     report("height-3 sweep CSV byte-identical", ok, f"rows {counts}")
+    assert ok, digests
+
+
+def test_height2_sweep_csv_byte_identical_on_more_fields():
+    config = RepresentConfig(search_bound=50)
+    counts, digests = {}, {}
+    for d in HEIGHT2_CSV_SHA256:
+        rows = run_sweep(QuadField(d), 2, config)
+        counts[d] = len(rows)
+        digests[d] = hashlib.sha256(_csv_rows(rows).encode()).hexdigest()
+    ok = digests == HEIGHT2_CSV_SHA256
+    report("height-2 sweep CSV byte-identical on more fields", ok, f"rows {counts}")
     assert ok, digests
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import fractions
+import hashlib
 import io
 import random
 import sys
@@ -300,6 +301,11 @@ class TestBuildOrder:
 
 # ---------------------------------------------------------------------------
 # The integer kernel against the Fraction reference
+
+
+# SHA-256 of TestRoundTrips::test_order_cli_output_byte_identical's outputs,
+# recorded before the two directions of the correspondence shared one frame
+ORDER_CLI_SHA256 = "753bd04ce866295409dabba3d8d612bd166c3e67736d718770ed6b854f1776b8"
 
 
 def _built_orders(seed, count):
@@ -656,6 +662,34 @@ class TestRoundTrips:
             pointed = order_to_pointed(order, emb)
             for z, v in zip(order.zbasis, pointed.lattice.basis):
                 assert pointed.space.h_value(v) == alg.reduced_norm(z)
+
+    def test_order_cli_output_byte_identical(self, tmp_path):
+        # from-order JSON and text on 64 seeded orders in random Z- and
+        # algebra bases, and build-order JSON on each pulled-back form, all
+        # against one digest of stdout, stderr and exit code
+        rng = random.Random(55)
+        built = list(_built_orders(56, 160))
+        assert len(built) >= 20
+        order_path, form_path = tmp_path / "order.json", tmp_path / "form.json"
+        digest = hashlib.sha256()
+        codes = set()
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            codes.add(code)
+            digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+            return out.getvalue()
+
+        for k in range(64):
+            order = _reparsed(rng, *built[k % len(built)])
+            order_path.write_text(jsonio.dumps(jsonio.order_obj(*order)))
+            form_path.write_text(run(["from-order", str(order_path)]))
+            run(["from-order", str(order_path), "--format", "text"])
+            run(["build-order", str(form_path)])
+        assert codes == {0}
+        assert digest.hexdigest() == ORDER_CLI_SHA256
 
 
 class TestM2Z:
