@@ -223,12 +223,12 @@ class HermSpace:
     def integral_form(self, lattice: "Lattice") -> "IntegralForm":
         """The validated IntegralForm of h on ``lattice``.
 
-        The record of the last lattice asked for is kept, so the layers of
-        one pipeline run share a single record for the pair.
+        The record of the last lattice asked for is kept for the next layer
+        of the pipeline; each call returns its own, also under threads.
         """
-        if self._form is None or self._form.lattice is not lattice:
-            self._form = IntegralForm(self, lattice)
-        return self._form
+        if (form := self._form) is None or form.lattice is not lattice:
+            form = self._form = IntegralForm(self, lattice)
+        return form
 
     def scale(self, c) -> "HermSpace":
         c = Fraction(c)

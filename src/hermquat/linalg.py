@@ -47,10 +47,9 @@ def mat_eq(a, b):
     )
 
 
-def scaled_integer_matrix(rows, den=None):
-    """(den * rows as ints, den); den defaults to the lcm of the denominators."""
-    if den is None:
-        den = math.lcm(*(x.denominator for row in rows for x in row))
+def scaled_integer_matrix(rows):
+    """(den * rows as ints, den) for den the lcm of the denominators."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 

@@ -219,12 +219,6 @@ class QuatAlgebra:
         return [c / q for c in linalg.vec_mat(vec_coords(v), fin)]
 
 
-def _std_basis():
-    return [
-        [Fraction(int(i == j)) for j in range(4)] for i in range(4)
-    ]
-
-
 def _check_isometry(rows, den, form_a, form_b, message):
     """Raise InvariantViolation unless rows.A.rows^T / (a*den^2) = B / b.
 
@@ -243,52 +237,71 @@ def _check_isometry(rows, den, form_a, form_b, message):
 # Pointed hermitian space -> algebra
 
 
+def _left_matrix(tn, x):
+    """For integer x, x * y = y . _left_matrix(tn, x) / td on row vectors."""
+    return [[sum(map(mul, x, col)) for col in zip(*rows)] for rows in zip(*tn)]
+
+
+def _unit_frame(field: QuadField, form, omega, point):
+    """theta = -h(u) and the frame (p, w*p, u, w*u) of L.p + L.u, in integers.
+
+    ``form`` is (G, c), b(x, y) = x.G.y / c = h(x + y) - h(x) - h(y) for a
+    symmetric integer G; ``omega`` is (W, od), omega * x = x.W / od; ``point``
+    is (p, pd), h(p / pd) = 1.  u = e_i - s(e_i, p) * p for the first standard
+    basis vector e_i off L.p; h is anisotropic on L.p, so u = 0 exactly there.
+    Returns (theta, rows, den), the frame being rows / den.
+    """
+    (g, c), (om, od), (p, pd) = form, omega, point
+    ma, mb = field.min_a, field.min_b
+    pw = linalg.vec_mat(p, om)  # omega * p, over od * pd
+    gp, gpw = linalg.vec_mat(p, g), linalg.vec_mat(pw, g)
+    # s(e_i, p) = x + y*omega: the b-values of e_i with p and with omega*p
+    # are tr(s) = 2x - ma*y and tr(conj(omega)*s) = -ma*x + 2*mb*y, here
+    # over c*od*pd; that system has determinant -D, so s = (sa + sb*omega) / den
+    den = -field.D * c * od * pd
+    ud = den * od * pd
+    for i in range(4):
+        t1, t2 = od * gp[i], gpw[i]
+        sa, sb = 2 * mb * t1 + ma * t2, ma * t1 + 2 * t2
+        # u = e_i - s(e_i, p) * p = un / ud
+        un = [ud * (j == i) - sa * od * x - sb * y for j, (x, y) in enumerate(zip(p, pw))]
+        if any(un):
+            break
+    theta = Fraction(-sum(map(mul, linalg.vec_mat(un, g), un)), 2 * c * ud * ud)
+    rows = [[den * od * od * x for x in p], [den * od * x for x in pw], [od * x for x in un],
+            linalg.vec_mat(un, om)]
+    return theta, rows, od * ud
+
+
 def build_algebra(space: HermSpace, point: Vector) -> QuatAlgebra:
     """The quaternion algebra on V with identity ``point`` (h(point) = 1).
 
-    The basis is (v, w*v, u, w*u) where u is the first standard basis vector
-    made orthogonal to v; theta = -h(u).  The reduced norm of the result is
-    exactly h.  Everything is computed on integer V-coordinates with the
-    integer Gram M, 2 * gram4 = M / k, of ``HermSpace._double_gram4``.
+    The basis is (v, w*v, u, w*u) of ``_unit_frame``; theta = -h(u).  The
+    reduced norm of the result is exactly h.  Everything is computed on
+    integer V-coordinates with the integer Gram M, 2 * gram4 = M / k, of
+    ``HermSpace._double_gram4``.
     """
     if not space.is_nondegenerate():
         raise DegenerateFormError("cannot build an algebra from a degenerate form")
     field = space.field
-    ma, mb = field.min_a, field.min_b
-    om = omega_matrix(field)
     m, k = space._double_gram4()
     # point = p / pd; h(x) = x.M.x / (2k) and b(x, y) = x.M.y / k
     (p,), pd = linalg.scaled_integer_matrix([vec_coords(point)])
-    mp = linalg.vec_mat(p, m)
-    if sum(map(mul, mp, p)) != 2 * k * pd * pd:
+    if sum(map(mul, linalg.vec_mat(p, m), p)) != 2 * k * pd * pd:
         raise InputError("the point must satisfy h(v) = 1")
-    pw = linalg.vec_mat(p, om)  # omega * point, over pd
-    # w is e1, or e2 when point[1] = 0; then point[0] != 0 since h(point) = 1
-    i0 = 0 if p[2] or p[3] else 2
-    # gamma0 = s(w, point) = a + b*omega: the b-values of w with point and
-    # with omega*point are tr(gamma0) = 2a - ma*b and tr(conj(omega)*gamma0)
-    # = -ma*a + 2*mb*b, times k*pd; that system has determinant -D, so
-    # gamma0 = (ga + gb*omega) / g
-    t1, t2 = mp[i0], sum(map(mul, m[i0], pw))
-    ga, gb = 2 * mb * t1 + ma * t2, ma * t1 + 2 * t2
-    g = -field.D * k * pd
-    # u = w - gamma0*point = u_n / ud
-    ud = g * pd
-    u_n = [ud * (i == i0) - ga * x - gb * y for i, (x, y) in enumerate(zip(p, pw))]
-    theta = Fraction(-sum(map(mul, linalg.vec_mat(u_n, m), u_n)), 2 * k * ud * ud)
+    theta, fn, fd = _unit_frame(field, (m, k), (omega_matrix(field), 1), (p, pd))
     if theta == 0:
         raise DegenerateFormError("orthogonal complement is isotropic; form degenerate")
     alg = QuatAlgebra.canonical(field, theta)
-    fn = [[g * x for x in p], [g * x for x in pw], u_n, linalg.vec_mat(u_n, om)]
-    # frame = fn / ud; frame.gram4.frame^T = fn.M.fn^T / (2k*ud^2) must be norm_gram() = S / q
+    # frame = fn / fd; frame.gram4.frame^T = fn.M.fn^T / (2k*fd^2) must be norm_gram() = S / q
     _check_isometry(
-        fn, ud, (m, 2 * k), alg._norm_gram_scaled(),
+        fn, fd, (m, 2 * k), alg._norm_gram_scaled(),
         "norm form of the built algebra differs from h",
     )
-    # frame^-1 = (fn / ud)^-1 = ud * adj(fn) / det(fn); det != 0 since the
+    # frame^-1 = (fn / fd)^-1 = fd * adj(fn) / det(fn); det != 0 since the
     # norm form check above makes frame.gram4.frame^T nondegenerate
     adj, det = linalg.int_adjugate(fn)
-    alg._frame_inv = ([[ud * x for x in row] for row in adj], det)
+    alg._frame_inv = ([[fd * x for x in row] for row in adj], det)
     return alg
 
 
@@ -333,11 +346,7 @@ class QuatOrder:
         den = dz * algebra._td * det
         self.products = []
         for i in range(4):
-            left = [
-                [sum(map(mul, zn[i], col)) for col in zip(*rows)]
-                for rows in zip(*tn)
-            ]
-            prod = linalg.mat_mul(linalg.mat_mul(zn, left), adj)
+            prod = linalg.mat_mul(linalg.mat_mul(zn, _left_matrix(tn, zn[i])), adj)
             row = []
             for j in range(4):
                 c = []
@@ -430,60 +439,43 @@ class PointedForm(NamedTuple):
 def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
     """Inverse functor: an embedded order as a pointed integral hermitian lattice.
 
-    The L-basis of the algebra is (1, u') where u' is the first standard
-    basis vector made orthogonal to 1; the returned frame identifies V = L^2
-    with the algebra, row k being the algebra coordinates of the k-th fixed
-    basis vector of V.
+    The L-basis of the algebra is (1, u) of ``_unit_frame``, with L acting by
+    left multiplication by the image w of omega; the returned frame
+    identifies V = L^2 with the algebra, row k being the algebra coordinates
+    of the k-th fixed basis vector of V.
     """
     alg = order.algebra
     field = alg.field
     if emb.order is not order:
         raise InputError("embedding belongs to a different order")
-    # w = sum c_i z_i with integer c_i and the order is closed, so w * z
-    # stays in the order: the lattice is B-stable
-    w = emb.omega_alg()
-    if alg.reduced_norm(alg.one) != 1:
-        raise InvariantViolation("identity has reduced norm != 1")
-
-    omega = field.omega()
-    oc = omega.conj()
-    denom = oc - omega
-    # s(eps, 1) from b(y, 1) = 2 * y.N.1 with N = norm_gram() = S / q.  The
-    # projection eps - s(eps, 1)*1 off L*1 vanishes only on L*1, a plane, so
-    # some standard basis vector has a non-zero one; u is the first.  On L*1
-    # n is anisotropic, so the projection vanishes there exactly.
+    # the norm form n(x) = x.S.x / q, so b(x, y) = x.S.y / (q/2); 1 = on / od
     s, q = alg._norm_gram_scaled()
-    n_one = [Fraction(2 * x, q) for x in linalg.vec_mat(alg.one, s)]
-    for eps in _std_basis():
-        sl = (oc * sum(map(mul, eps, n_one)) - sum(map(mul, alg.mul(w, eps), n_one))) / denom
-        u = [e - sl.a * o - sl.b * wi for e, o, wi in zip(eps, alg.one, w)]
-        if any(u):
-            break
-    theta = -alg.reduced_norm(u)
+    (on,), od = linalg.scaled_integer_matrix([alg.one])
+    if sum(map(mul, linalg.vec_mat(on, s), on)) != q * od * od:
+        raise InvariantViolation("identity has reduced norm != 1")
+    # w = sum c_i z_i with integer c_i and the order is closed, so w * z
+    # stays in the order: the lattice is B-stable.  w = wn / wd acts by
+    # x -> x . _left_matrix(tn, wn) / (wd * td).
+    (wn,), wd = linalg.scaled_integer_matrix([emb.omega_alg()])
+    omega = (_left_matrix(alg._tn, wn), wd * alg._td)
+    theta, fn, fd = _unit_frame(field, (s, q // 2), omega, (on, od))
     if theta == 0:
         raise DegenerateFormError("norm form degenerate on the orthogonal line")
     space = HermSpace(field, 1, -theta, field.zero())
-    frame = [alg.one, w, u, alg.mul(w, u)]
-    # x . frame^-1 = x . fd * adj / det for frame = fn / fd
-    fn, fd = linalg.scaled_integer_matrix(frame)
-    adj, det = linalg.int_adjugate(fn)
-    if det == 0:
-        raise RankError("matrix is singular")
-    # n(y . frame) = h(y): fn.S.fn^T / (q*fd^2) must be gram4 = M / (2k)
+    # n(y . frame) = h(y): fn.S.fn^T / (q*fd^2) must be gram4 = M / (2k);
+    # a singular frame fails it, since M is nondegenerate
     m, k = space._double_gram4()
     _check_isometry(
         fn, fd, (s, q), (m, 2 * k), "pulled-back form disagrees with the reduced norm"
     )
-
-    def pulled_back(x):
-        (xn,), xd = linalg.scaled_integer_matrix([x])
-        q = xd * det
-        return vec_from_coords(
-            field, [Fraction(c * fd, q) for c in linalg.vec_mat(xn, adj)]
-        )
-
-    lattice = Lattice(field, [pulled_back(z) for z in order.zbasis])
-    return PointedForm(space, lattice, pulled_back(alg.one), frame)
+    # the Z-basis zn / dz through frame^-1 = fd * adj(fn) / det(fn); the
+    # first frame row is 1, so the point is e1
+    adj, det = linalg.int_adjugate(fn)
+    zn, dz = linalg.scaled_integer_matrix(order.zbasis)
+    basis = [vec_from_coords(field, [Fraction(c * fd, dz * det) for c in row])
+             for row in linalg.mat_mul(zn, adj)]
+    point = (field.one(), field.zero())
+    return PointedForm(space, Lattice(field, basis), point, _rational(fn, fd))
 
 
 # ---------------------------------------------------------------------------

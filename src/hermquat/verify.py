@@ -69,46 +69,42 @@ class SuiteResult(Record):
 # Random generators
 
 
-def random_field(rng: random.Random, ds=DEFAULT_FIELDS) -> QuadField:
-    return QuadField(rng.choice(ds))
+def random_field(rng: random.Random) -> QuadField:
+    return QuadField(rng.choice(DEFAULT_FIELDS))
 
 
-def random_fraction(rng: random.Random, height=5, dens=(1, 1, 2, 3)):
-    return Fraction(rng.randint(-height, height), rng.choice(dens))
+def random_fraction(rng: random.Random, height):
+    return Fraction(rng.randint(-height, height), rng.choice((1, 1, 2, 3)))
 
 
-def random_qelem(rng, field, height=5):
+def random_qelem(rng, field, height):
     return field.elem(random_fraction(rng, height), random_fraction(rng, height))
 
 
-def random_hermspace(rng, field, height=4, nondegenerate=False) -> HermSpace:
+def random_hermspace(rng, field, nondegenerate=False) -> HermSpace:
     while True:
         space = HermSpace(
             field,
-            random_fraction(rng, height),
-            random_fraction(rng, height),
-            random_qelem(rng, field, height),
+            random_fraction(rng, 4),
+            random_fraction(rng, 4),
+            random_qelem(rng, field, 4),
         )
         if not nondegenerate or space.is_nondegenerate():
             return space
-
-
-def random_vector(rng, field, height=3):
-    return (random_qelem(rng, field, height), random_qelem(rng, field, height))
 
 
 def random_pointed_space(rng, field):
     """A nondegenerate space with a point of h-value exactly 1."""
     while True:
         space = random_hermspace(rng, field, nondegenerate=True)
-        v = random_vector(rng, field, height=2)
+        v = (random_qelem(rng, field, 2), random_qelem(rng, field, 2))
         c = space.h_value(v)
         if c == 0:
             continue
         return space.scale(Fraction(1) / c), v
 
 
-def random_integral_pointed_lattice(rng, field, search_bound=30):
+def random_integral_pointed_lattice(rng, field):
     """An integral indefinite square-free form on B^2 plus a found point.
 
     The field needs an odd D: for even D every Delta of these forms is
@@ -133,7 +129,7 @@ def random_integral_pointed_lattice(rng, field, search_bound=30):
         delta = discriminant_form(space, lattice)
         if any(e > 1 for e in factorint(int(delta.as_ideal)).values()):
             continue
-        point = global_search(space, lattice, search_bound)
+        point = global_search(space, lattice, 30)
         if point is None:
             continue
         return space, lattice, point
@@ -166,12 +162,12 @@ def random_b_stable_lattice(rng, field) -> Lattice:
 # Suites
 
 
-def suite_polarize(seed=0, cases=200, fields=DEFAULT_FIELDS) -> SuiteResult:
+def suite_polarize(seed=0) -> SuiteResult:
     """Round trip S -> h -> S and independence of the recovery sample."""
     rng = random.Random(seed)
     result = SuiteResult("polarize")
-    for _ in range(cases):
-        fieldobj = random_field(rng, fields)
+    for _ in range(200):
+        fieldobj = random_field(rng)
         space = random_hermspace(rng, fieldobj)
         gram = space.gram4()
         result.cases += 1
@@ -190,11 +186,11 @@ def suite_polarize(seed=0, cases=200, fields=DEFAULT_FIELDS) -> SuiteResult:
     return result
 
 
-def suite_algebra(seed=0, cases=50, pairs=100) -> SuiteResult:
+def suite_algebra(seed=0) -> SuiteResult:
     """Associativity, identity, the u-relations and norm multiplicativity."""
     rng = random.Random(seed)
     result = SuiteResult("algebra")
-    for _ in range(cases):
+    for _ in range(50):
         fieldobj = random_field(rng)
         space, point = random_pointed_space(rng, fieldobj)
         result.cases += 1
@@ -222,7 +218,7 @@ def suite_algebra(seed=0, cases=50, pairs=100) -> SuiteResult:
         if lhs != rhs:
             result.record(form=jsonio.herm_obj(space), error="u*l != conj(l)*u")
             continue
-        for _ in range(pairs):
+        for _ in range(100):
             x = [Fraction(rng.randint(-4, 4)) for _ in range(4)]
             y = [Fraction(rng.randint(-4, 4)) for _ in range(4)]
             if alg.reduced_norm(alg.mul(x, y)) != alg.reduced_norm(x) * alg.reduced_norm(y):
@@ -231,11 +227,11 @@ def suite_algebra(seed=0, cases=50, pairs=100) -> SuiteResult:
     return result
 
 
-def suite_order(seed=0, cases=50) -> SuiteResult:
+def suite_order(seed=0) -> SuiteResult:
     """Order closure, the basis-product identities, and both round trips."""
     rng = random.Random(seed)
     result = SuiteResult("order")
-    for _ in range(cases):
+    for _ in range(50):
         fieldobj = QuadField(rng.choice(CLASS_NUMBER_ONE_FIELDS))
         space, lattice, point = random_integral_pointed_lattice(rng, fieldobj)
         result.cases += 1
@@ -245,7 +241,7 @@ def suite_order(seed=0, cases=50) -> SuiteResult:
             result.record(form=jsonio.herm_obj(space), error=str(exc))
             continue
         # w.w = (theta_w - n(gamma)) v + tr(gamma) w for a B-basis (v, w)
-        w = _complete_b_basis(space, lattice, point)
+        w = _complete_b_basis(lattice, point)
         if w is not None:
             gamma = space.s_value(w, point)
             u_w = vec_add(w, vec_scale(-gamma, point))
@@ -280,10 +276,10 @@ def suite_order(seed=0, cases=50) -> SuiteResult:
     return result
 
 
-def _complete_b_basis(space, lattice, point, bound=3):
+def _complete_b_basis(lattice, point):
     """Search a w with B*point + B*w equal to the lattice (class number 1)."""
-    for h in range(0, bound + 1):
-        for c in _shell_vectors(h, (bound,) * 4):
+    for h in range(4):
+        for c in _shell_vectors(h, (3,) * 4):
             w = lattice.from_integer_coords(c)
             if point[0] * w[1] - point[1] * w[0] == 0:
                 continue
@@ -296,18 +292,18 @@ def _complete_b_basis(space, lattice, point, bound=3):
     return None
 
 
-def suite_disc(seed=0, algebras=10, lattices_per=10) -> SuiteResult:
+def suite_disc(seed=0) -> SuiteResult:
     """Delta(Lambda) = D * d(Lambda, n) on random stable lattices."""
     rng = random.Random(seed)
     result = SuiteResult("disc")
-    for _ in range(algebras):
+    for _ in range(10):
         fieldobj = QuadField(rng.choice(CLASS_NUMBER_ONE_FIELDS))
         space, point = random_pointed_space(rng, fieldobj)
         try:
             alg = build_algebra(space, point)
         except Exception:
             continue
-        for _ in range(lattices_per):
+        for _ in range(10):
             lattice = random_b_stable_lattice(rng, fieldobj)
             result.cases += 1
             rows = [alg.from_space(v) for v in lattice.basis]
@@ -324,15 +320,13 @@ def suite_disc(seed=0, algebras=10, lattices_per=10) -> SuiteResult:
     return result
 
 
-def suite_represent(seed=0, fields=CLASS_NUMBER_ONE_FIELDS, height=2) -> SuiteResult:
+def suite_represent(seed=0) -> SuiteResult:
     """The theorem at desk scale: indefinite square-free forms represent 1."""
     result = SuiteResult("represent")
     config = RepresentConfig(search_bound=50)
-    for d in fields:
+    for d in CLASS_NUMBER_ONE_FIELDS:
         fieldobj = QuadField(d)
-        for alpha, beta, gamma, space, lattice, delta in surviving_forms(
-            fieldobj, height
-        ):
+        for alpha, beta, gamma, space, lattice, delta in surviving_forms(fieldobj, 2):
             if space.definiteness() != Definiteness.INDEFINITE:
                 continue
             result.cases += 1

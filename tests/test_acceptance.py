@@ -77,21 +77,21 @@ def desk_sweep():
 
 
 def test_polarization_suite():
-    result = suite_polarize(seed=SEED, cases=200, fields=(-3, -7, -11, -15))
+    result = suite_polarize(seed=SEED)
     report("polarization (200 forms, 5 samples)", result.ok, f"{result.cases} cases")
     assert result.ok, result.failures[:1]
     assert result.cases == 200
 
 
 def test_quaternion_structure_suite():
-    result = suite_algebra(seed=SEED, cases=50, pairs=100)
+    result = suite_algebra(seed=SEED)
     report("quaternion structure (50 spaces x 100 pairs)", result.ok, f"{result.cases} cases")
     assert result.ok, result.failures[:1]
     assert result.cases == 50
 
 
 def test_order_closure_suite():
-    result = suite_order(seed=SEED, cases=50)
+    result = suite_order(seed=SEED)
     report("order closure and basis-product identities", result.ok, f"{result.cases} cases")
     assert result.ok, result.failures[:1]
     assert result.cases == 50
@@ -146,7 +146,7 @@ def test_trace_matrix_formula():
 
 
 def test_discriminant_relation_suite():
-    result = suite_disc(seed=SEED, algebras=10, lattices_per=10)
+    result = suite_disc(seed=SEED)
     report("discriminant relation on random lattices", result.ok, f"{result.cases} cases")
     assert result.ok, result.failures[:1]
     assert result.cases == 100

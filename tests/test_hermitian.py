@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -541,3 +542,28 @@ class TestIntegralForm:
         other = Lattice.standard(F7)
         assert space.integral_form(other) is not form
         assert space.integral_form(other).w == form.w
+
+    def test_each_call_gets_its_own_lattice_record(self):
+        # a second caller of the same space (another thread) runs between
+        # the store and the return of a first call: each call still
+        # returns the record of the lattice it asked for
+        space = HermSpace(F7, 1, -1, F7.zero())
+        std = Lattice.standard(F7)
+        sub = lattice_from_B_basis(vec(F7, 2, 0), vec(F7, 0, 1))
+        code = HermSpace.integral_form.__code__
+        return_line = max(line for *_, line in code.co_lines() if line is not None)
+        inner = []
+
+        def local(frame, event, arg):
+            if event == "line" and frame.f_lineno == return_line and not inner:
+                inner.append(space.integral_form(sub))
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+        try:
+            outer = space.integral_form(std)
+        finally:
+            sys.settrace(previous)
+        assert inner[0].lattice is sub and inner[0].delta.value == 28
+        assert outer.lattice is std and outer.delta.value == 7

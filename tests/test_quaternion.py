@@ -44,7 +44,7 @@ from hermquat.errors import (
 from hermquat.hermitian import vec_coords, vec_from_coords
 from hermquat.represent import VERDICT_REPRESENTED, represents_one_integral
 from hermquat.sweep import surviving_forms
-from hermquat.verify import random_pointed_space
+from hermquat.verify import random_integral_pointed_lattice, random_pointed_space
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
@@ -549,11 +549,13 @@ class TestIntegerKernel:
         assert calls <= 1000 * len(rows)
 
     def test_from_order_fraction_calls_bounded(self, tmp_path):
-        # from-order reads the reduced norm from the integer trace table and
-        # decides optimality on integer minors: count the calls into
-        # fractions.py per call on 20 order files from d = -7, h = 2 rows,
-        # every QuatAlgebra.mul under reduced_norm or norm_gram, every call
-        # into fractions.py or the HNF under is_optimal, and every call into
+        # from-order reads the reduced norm from the integer trace table,
+        # builds the frame in integers and decides optimality on integer
+        # minors: count the calls into fractions.py per call on 20 order
+        # files from d = -7, h = 2 rows, every QuatAlgebra.mul under
+        # reduced_norm or norm_gram, every algebra product, reduced norm or
+        # QElem operation under order_to_pointed, every call into
+        # fractions.py or the HNF under is_optimal, and every call into
         # qfield.py under discriminant_form, which reads the integer Gram
         paths = []
         for k, row in enumerate(_represented_rows(20)):
@@ -562,7 +564,12 @@ class TestIntegerKernel:
             paths.append(str(path))
         source = fractions.__file__
         norm_codes = {QuatAlgebra.reduced_norm.__code__, QuatAlgebra.norm_gram.__code__}
-        calls = muls_under_norm = under_optimal = qfield_under_disc = 0
+        frame_codes = {QuatAlgebra.mul.__code__, QuatAlgebra.reduced_norm.__code__} | {
+            getattr(qfield.QElem, name).__code__
+            for name in ("__add__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                         "__truediv__", "__rtruediv__")
+        }
+        calls = muls_under_norm = under_optimal = qfield_under_disc = under_frame = 0
 
         def called_from(frame, codes):
             caller = frame.f_back
@@ -571,10 +578,12 @@ class TestIntegerKernel:
             return caller is not None
 
         def count(frame, event, arg):
-            nonlocal calls, muls_under_norm, under_optimal, qfield_under_disc
+            nonlocal calls, muls_under_norm, under_optimal, qfield_under_disc, under_frame
             if event != "call":
                 return
             code = frame.f_code
+            if code in frame_codes:
+                under_frame += called_from(frame, {order_to_pointed.__code__})
             if code.co_filename == source:
                 calls += 1
             elif code is QuatAlgebra.mul.__code__:
@@ -600,6 +609,7 @@ class TestIntegerKernel:
         assert muls_under_norm == 0
         assert under_optimal == 0
         assert qfield_under_disc == 0
+        assert under_frame == 0
 
 
 class TestRoundTrips:
@@ -615,6 +625,17 @@ class TestRoundTrips:
         rebuilt, _ = build_order(pointed.space, pointed.lattice, pointed.point)
         assert rebuilt.algebra.table == order.algebra.table
         assert rebuilt.zbasis == order.zbasis
+        # on seeded integral pointed lattices both directions take the same
+        # frame: the pulled-back space is (1, -theta, 0) for the built theta
+        rng = random.Random(57)
+        for k in range(12):
+            field = (F3, F7)[k % 2]
+            order, emb = build_order(*random_integral_pointed_lattice(rng, field))
+            pointed = order_to_pointed(order, emb)
+            assert pointed.space == HermSpace(field, 1, -order.algebra.theta, field.zero())
+            rebuilt, _ = build_order(pointed.space, pointed.lattice, pointed.point)
+            assert rebuilt.algebra.table == order.algebra.table
+            assert rebuilt.zbasis == order.zbasis
 
     def test_frame_transports_multiplication(self):
         # the identification frame carries the rebuilt table onto the original
