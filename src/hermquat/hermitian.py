@@ -223,8 +223,8 @@ class HermSpace:
     def integral_form(self, lattice: "Lattice") -> "IntegralForm":
         """The validated IntegralForm of h on ``lattice``.
 
-        The record of the last lattice asked for is kept for the next layer
-        of the pipeline; each call returns its own, also under threads.
+        The last lattice's record is kept for the pipeline's next layer;
+        a call returns its own record even under threads.
         """
         if (form := self._form) is None or form.lattice is not lattice:
             form = self._form = IntegralForm(self, lattice)

@@ -704,8 +704,8 @@ class TestRoundTrips:
             return out.getvalue()
 
         for k in range(64):
-            order = _reparsed(rng, *built[k % len(built)])
-            order_path.write_text(jsonio.dumps(jsonio.order_obj(*order)))
+            reparsed = _reparsed(rng, *built[k % len(built)])
+            order_path.write_text(jsonio.dumps(jsonio.order_obj(*reparsed)))
             form_path.write_text(run(["from-order", str(order_path)]))
             run(["from-order", str(order_path), "--format", "text"])
             run(["build-order", str(form_path)])
