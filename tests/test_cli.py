@@ -1,8 +1,11 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import logging
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 import hermquat
 from hermquat import (
+    Definiteness,
     HermSpace,
     Lattice,
     QuadField,
@@ -26,11 +30,16 @@ from hermquat import (
     qfield,
 )
 from hermquat.cli import main
-from hermquat.errors import InvariantViolation
+from hermquat.errors import DegenerateFormError, InvariantViolation, NotIntegralError
+from hermquat.verify import random_b_stable_lattice
 from fraction_reference import vec
 from tests_fixtures import m2z_order
 
 F7 = QuadField(-7)
+
+# SHA-256 of TestRepresentOne::test_search_output_byte_identical's outputs,
+# recorded before the box search solved its last coordinate
+REPRESENT_CLI_SHA256 = "331ebc356deb5b9ed61709459bb297520a63b222f29a7ca1bb27405c82e619a6"
 
 
 def write_form(tmp_path, space, name="form.json", point=None, lattice=None):
@@ -307,7 +316,61 @@ class TestFromOrder:
             assert rebuilt_text == order_text
 
 
+def search_gate_forms(seed):
+    """Integral forms of square-free Delta, 24 per field of d in (-3, -7,
+    -11, -19): on B^2 and on random B-stable lattices, 6 indefinite, 3
+    positive and 3 negative definite each, with beta = 0 in about half the
+    draws."""
+    rng = random.Random(seed)
+    for d in (-3, -7, -11, -19):
+        field = QuadField(d)
+        for on_b2 in (True, False):
+            need = {
+                Definiteness.INDEFINITE: 6,
+                Definiteness.POSITIVE_DEFINITE: 3,
+                Definiteness.NEGATIVE_DEFINITE: 3,
+            }
+            while any(need.values()):
+                lattice = Lattice.standard(field) if on_b2 else random_b_stable_lattice(rng, field)
+                beta = rng.choice((0, rng.randint(-40, 40)))
+                gamma = field.elem(rng.randint(-20, 20), rng.randint(-20, 20))
+                space = HermSpace(field, rng.randint(-40, 40), beta, gamma * field.inverse_sqrt_d())
+                try:
+                    form = space.integral_form(lattice)
+                except (NotIntegralError, DegenerateFormError):
+                    continue
+                if any(e > 1 for e in form.delta_factors().values()):
+                    continue
+                if need[form.definiteness]:
+                    need[form.definiteness] -= 1
+                    yield space, lattice
+
+
 class TestRepresentOne:
+    def test_search_output_byte_identical(self, tmp_path, monkeypatch):
+        # represent-one --search-bound 6, JSON and text, on 96 seeded forms,
+        # against one digest of stdout, stderr and exit code; the exhausted
+        # warning goes to stderr as without a logging configuration, whatever
+        # handlers the test runner installs
+        logger = logging.getLogger("hermquat.represent")
+        handler = logging.StreamHandler()
+        monkeypatch.setattr(logger, "propagate", False)
+        monkeypatch.setattr(logger, "handlers", [handler])
+        path = tmp_path / "form.json"
+        digest = hashlib.sha256()
+        codes = set()
+        for space, lattice in search_gate_forms(61):
+            path.write_text(jsonio.dumps(jsonio.form_obj(space, lattice, None)))
+            for fmt in ("json", "text"):
+                out, err = io.StringIO(), io.StringIO()
+                handler.setStream(err)
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["represent-one", str(path), "--search-bound", "6", "--format", fmt])
+                codes.add(code)
+                digest.update(f"{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+        assert codes == {0, 4, 5}
+        assert digest.hexdigest() == REPRESENT_CLI_SHA256
+
     def test_represented_exit_0(self, tmp_path, capsys):
         path = write_form(tmp_path, HermSpace(F7, 1, -1, F7.zero()))
         code, out = run_cli(["represent-one", path], capsys)
