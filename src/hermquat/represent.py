@@ -262,24 +262,28 @@ def _local_ramified(form: IntegralForm, p: int, v_delta: int):
 # Global search
 
 
-def _shell_vectors(height, clamps):
-    """Vectors with max|c_i| == height, |c_i| <= clamps[i], ascending lex order."""
+def _least_c4(a: int, b: int, c: int, m: int, lim: int):
+    """The least (shell, c4) with a*c4^2 + 2*b*c4 + c = 0 and |c4| <= lim, or None.
 
-    def rec(i, prefix, hit):
-        if i == 4:
-            if hit:
-                yield prefix
-            return
-        lim = min(height, clamps[i])
-        if i == 3 and not hit:
-            if height <= clamps[3]:
-                for c in sorted({-height, height}):
-                    yield prefix + (c,)
-            return
-        for c in range(-lim, lim + 1):
-            yield from rec(i + 1, prefix + (c,), hit or abs(c) == height)
-
-    yield from rec(0, (), False)
+    The shell of the vector is max(m, |c4|) for a prefix of height m.  For
+    a = b = c = 0 every c4 solves, and -min(m, lim) comes first.
+    """
+    if a:
+        disc = b * b - a * c
+        s = isqrt(max(disc, 0))
+        if s * s != disc:
+            return None
+        roots = [r // a for r in (-b - s, -b + s) if r % a == 0]
+    elif b:
+        if c % (2 * b):
+            return None
+        roots = [-c // (2 * b)]
+    elif c:
+        return None
+    else:
+        return m, -min(m, lim)
+    keys = [(max(m, abs(r)), r) for r in roots if abs(r) <= lim]
+    return min(keys) if keys else None
 
 
 def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
@@ -292,6 +296,17 @@ def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     one whose ellipsoid bounds are all within the height bound: only then
     is the search complete.  Otherwise None means that the box was
     exhausted.
+
+    The last coordinate is solved, not walked: for a prefix (c1, c2, c3),
+    h(c) = 1 is the integer equation A*c4^2 + 2*B*c4 + C = 0 with
+    A = W44, B = sum W4i*ci and C = x'.W'.x' - 2 on the first three
+    coordinates, W = 2G; its integer roots come from an isqrt of B^2 - A*C,
+    or from -C/(2B) when A = 0, and when A = B = C = 0 every c4 solves.  A
+    root c4 of a prefix of height m lies in shell max(m, |c4|).  Prefixes
+    run in shells of their own height m and in lex order within one, so
+    once the shells up to m are done every vector of shell m is known and
+    the least one found is the first witness.  Each prefix is evaluated
+    once: at most (2H+1)^3 root tests, not (2H+1)^4 vectors.
     """
     form = space.integral_form(lattice)
     w = form.w
@@ -299,7 +314,6 @@ def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
     if defin == Definiteness.NEGATIVE_DEFINITE:
         return None
     clamps = (height_bound,) * 4
-    top = height_bound
     if defin == Definiteness.POSITIVE_DEFINITE:
         # G^-1 = 2 * W^-1 = 2 * adj(W) / det(W) bounds |c_i| by
         # sqrt((G^-1)_ii) on h(c) = 1, and floor(sqrt(n / q)) is
@@ -308,20 +322,34 @@ def global_search(space: HermSpace, lattice: Lattice, height_bound: int):
         clamps = tuple(
             min(height_bound, isqrt(2 * adj[i][i] * det) // det) for i in range(4)
         )
-        top = min(height_bound, max(clamps))
-    for h in range(0, top + 1):
-        for c in _shell_vectors(h, clamps):
-            total = 0
-            for i in range(4):
-                ci = c[i]
-                if ci:
-                    row = w[i]
-                    total += ci * (
-                        row[0] * c[0] + row[1] * c[1] + row[2] * c[2] + row[3] * c[3]
-                    )
-            if total == 2:
-                return form.lattice.from_integer_coords(c)
-    return None
+    w4, k4 = w[3], clamps[3]
+    best = None
+    for m in range(max(clamps[:3]) + 1):
+        l1, l2, l3 = (min(m, k) for k in clamps[:3])
+        for c1 in range(-l1, l1 + 1):
+            for c2 in range(-l2, l2 + 1):
+                if abs(c1) == m or abs(c2) == m:
+                    c3s = range(-l3, l3 + 1)
+                elif m <= clamps[2]:
+                    c3s = (-m, m)
+                else:
+                    continue
+                for c3 in c3s:
+                    x = (c1, c2, c3)
+                    b = w4[0] * c1 + w4[1] * c2 + w4[2] * c3
+                    c = sum(x[i] * w[i][j] * x[j] for i in range(3) for j in range(3)) - 2
+                    found = _least_c4(w4[3], b, c, m, k4)
+                    if found is None:
+                        continue
+                    key = (found[0], c1, c2, c3, found[1])
+                    if best is None or key < best:
+                        best = key
+                    if found[0] == m:
+                        # no later prefix of this shell, nor a later shell, comes first
+                        return form.lattice.from_integer_coords(best[1:])
+        if best is not None and best[0] <= m:
+            break
+    return None if best is None else form.lattice.from_integer_coords(best[1:])
 
 
 # ---------------------------------------------------------------------------

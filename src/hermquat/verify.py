@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from . import jsonio, linalg
 from .arith import factorint
@@ -39,7 +40,6 @@ from .quaternion import (
 from .represent import (
     VERDICT_REPRESENTED,
     RepresentConfig,
-    _shell_vectors,
     global_search,
     represents_one_integral,
 )
@@ -277,18 +277,18 @@ def suite_order(seed=0) -> SuiteResult:
 
 
 def _complete_b_basis(lattice, point):
-    """Search a w with B*point + B*w equal to the lattice (class number 1)."""
-    for h in range(4):
-        for c in _shell_vectors(h, (3,) * 4):
-            w = lattice.from_integer_coords(c)
-            if point[0] * w[1] - point[1] * w[0] == 0:
-                continue
-            try:
-                sub = lattice_from_B_basis(point, w)
-            except Exception:
-                continue
-            if lattice.index_of_sublattice(sub) == 1:
-                return w
+    """Search a w with B*point + B*w equal to the lattice (class number 1).
+
+    ``lattice_from_B_basis`` raises only on L-dependent vectors, which the
+    cross-product test skips first.
+    """
+    # the box |c_i| <= 3 in shells of increasing height, lex order within one
+    for c in sorted(product(range(-3, 4), repeat=4), key=lambda c: max(map(abs, c))):
+        w = lattice.from_integer_coords(c)
+        if point[0] * w[1] - point[1] * w[0] == 0:
+            continue
+        if lattice.index_of_sublattice(lattice_from_B_basis(point, w)) == 1:
+            return w
     return None
 
 
@@ -301,7 +301,8 @@ def suite_disc(seed=0) -> SuiteResult:
         space, point = random_pointed_space(rng, fieldobj)
         try:
             alg = build_algebra(space, point)
-        except Exception:
+        except Exception as exc:  # suites record failures instead of raising
+            result.record(form=jsonio.herm_obj(space), error=str(exc))
             continue
         for _ in range(10):
             lattice = random_b_stable_lattice(rng, fieldobj)

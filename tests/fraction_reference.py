@@ -17,7 +17,9 @@ numerators of the Gram entries, polarizes by a closed form in two Gram
 entries, builds the frame of an algebra in integers, and compares lattices
 by an index; the tests compare these with alpha*beta - n(gamma) in
 Fractions, with the bilinear form on whole vectors, with the QElem
-construction of the frame, and with Hermite normal forms.
+construction of the frame, and with Hermite normal forms.  It finds the
+first witness of h = 1 by solving for the last coordinate; the tests
+compare it with ``box_search``, the walk over every vector of the box.
 
 It also holds the constructors and the algebra operations only the tests
 use: ``vec``, ``is_integral_elem``, ``algebra_table``, ``reduced_trace``
@@ -25,7 +27,7 @@ and ``conj``.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from hermquat import FORM_SIGN_CONVENTION, Definiteness, DiscValue, QElem, linalg
 from hermquat.errors import DegenerateFormError, InputError, RankError
@@ -332,3 +334,56 @@ def lattice_equal(a, b) -> bool:
     den = lcm(*(x.denominator for row in rows for x in row))
     scaled = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
     return linalg.hnf_basis(scaled[:4]) == linalg.hnf_basis(scaled[4:])
+
+
+def shell_vectors(height, clamps):
+    """Vectors with max|c_i| == height, |c_i| <= clamps[i], ascending lex order."""
+
+    def rec(i, prefix, hit):
+        if i == 4:
+            if hit:
+                yield prefix
+            return
+        lim = min(height, clamps[i])
+        if i == 3 and not hit:
+            if height <= clamps[3]:
+                for c in sorted({-height, height}):
+                    yield prefix + (c,)
+            return
+        for c in range(-lim, lim + 1):
+            yield from rec(i + 1, prefix + (c,), hit or abs(c) == height)
+
+    yield from rec(0, (), False)
+
+
+def box_search(space, lattice, height_bound):
+    """The first vector with x.W.x == 2 (W = 2G) by a walk over the whole box.
+
+    The box and its order are those of ``represent.global_search``: shells
+    of increasing height, lex order within one; for a positive definite
+    form |c_i| <= sqrt((G^-1)_ii) = sqrt(2 (W^-1)_ii), here read from the
+    Fraction inverse.
+    """
+    form = space.integral_form(lattice)
+    w = form.w
+    if form.definiteness == Definiteness.NEGATIVE_DEFINITE:
+        return None
+    clamps = (height_bound,) * 4
+    if form.definiteness == Definiteness.POSITIVE_DEFINITE:
+        inv = mat_inverse(w)
+        clamps = tuple(
+            min(height_bound, isqrt(q.numerator * q.denominator) // q.denominator)
+            for q in (2 * inv[i][i] for i in range(4))
+        )
+    for h in range(max(clamps) + 1):
+        for c in shell_vectors(h, clamps):
+            total = 0
+            for i in range(4):
+                if c[i]:
+                    row = w[i]
+                    total += c[i] * (
+                        row[0] * c[0] + row[1] * c[1] + row[2] * c[2] + row[3] * c[3]
+                    )
+            if total == 2:
+                return form.lattice.from_integer_coords(c)
+    return None

@@ -475,6 +475,17 @@ class TestVerify:
         assert "polarize: FAIL" in out
         assert "synthetic" in out
 
+    def test_disc_suite_records_a_falsified_build(self, monkeypatch):
+        from hermquat import verify as verify_mod
+
+        def falsified(space, point):
+            raise InvariantViolation("synthetic")
+
+        monkeypatch.setattr(verify_mod, "build_algebra", falsified)
+        result = verify_mod.suite_disc(seed=0)
+        assert not result.ok
+        assert {f["error"] for f in result.failures} == {"synthetic"}
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),

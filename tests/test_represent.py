@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import logging
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -31,6 +32,7 @@ from hermquat.errors import (
     UnsupportedRamificationError,
 )
 from hermquat import hermitian, represent
+from hermquat.verify import random_b_stable_lattice
 from hermquat.represent import (
     METHOD_DIRECT_HENSEL,
     METHOD_RAMIFIED_DIAGONAL,
@@ -40,8 +42,8 @@ from hermquat.represent import (
     RepresentConfig,
     local_prime_set,
 )
-from fraction_reference import gram_on_basis, vec
-from tests_fixtures import random_b_stable_pairs
+from fraction_reference import box_search, gram_on_basis, vec
+from tests_fixtures import CLOSED_FORM_FIELDS, random_b_stable_pairs
 
 F7 = QuadField(-7)
 F3 = QuadField(-3)
@@ -479,36 +481,75 @@ class TestGlobalSearch:
         assert SPLIT7.h_value(witness) == 1
 
     def test_oracle_agreement(self):
-        # independent brute enumeration in the same declared order
+        # the walk over every vector of the box, in the same declared order
         space = HermSpace(F7, 2, -1, F7.zero())
-        lattice = STD7
-        gram = gram_on_basis(space, lattice.basis)
-        expected = None
-        for h in range(0, 11):
-            if expected:
-                break
-            rng = range(-h, h + 1)
-            for c1 in rng:
-                if expected:
-                    break
-                for c2 in rng:
-                    if expected:
-                        break
-                    for c3 in rng:
-                        if expected:
-                            break
-                        for c4 in rng:
-                            c = (c1, c2, c3, c4)
-                            if max(abs(t) for t in c) != h:
-                                continue
-                            value = sum(
-                                c[i] * gram[i][j] * c[j] for i in range(4) for j in range(4)
-                            )
-                            if value == 1:
-                                expected = lattice.from_integer_coords(c)
-                                break
+        expected = box_search(space, STD7, 10)
         assert expected is not None
-        assert global_search(space, lattice, 10) == expected
+        assert global_search(space, STD7, 10) == expected
+
+    def test_root_solve_matches_box_walk(self):
+        # 300 seeded (form, lattice, bound) cases over odd and even D, half
+        # on B^2, where beta = 0 makes A = W44 = 0, and half on random
+        # B-stable lattices
+        rng = random.Random(71)
+        fields = [QuadField(d) for d in CLOSED_FORM_FIELDS]
+        found = 0
+        for k in range(300):
+            field = fields[k % len(fields)]
+            while True:
+                lattice = Lattice.standard(field) if k % 2 else random_b_stable_lattice(rng, field)
+                gamma = field.elem(rng.randint(-4, 4), rng.randint(-4, 4))
+                beta = rng.choice((0, rng.randint(-6, 6)))
+                space = HermSpace(field, rng.randint(-6, 6), beta, gamma * field.inverse_sqrt_d())
+                try:
+                    space.integral_form(lattice)
+                    break
+                except (NotIntegralError, DegenerateFormError):
+                    continue
+            bound = 1 + k % 4
+            expected = box_search(space, lattice, bound)
+            assert global_search(space, lattice, bound) == expected
+            found += expected is not None
+        assert 100 < found < 250
+
+    # name -> (d, alpha, beta, (m, n), bound, first witness in lattice
+    # coordinates, (A, B, C) at its prefix) on B^2, with
+    # gamma = (m + n*omega)/sqrt(d)
+    ROOT_CASES = {
+        # A = 0, B != 0: the linear root c4 = -C/(2B) = -1
+        "linear": (-15, -1, 0, (-3, -1), 4, (-1, 0, -1, -1), (0, -3, -6)),
+        # A = B = C = 0: every c4 solves, and the most negative one of
+        # the shell, -1, comes first
+        "every_c4": (-15, 1, 0, (0, 2), 2, (-1, 0, 0, -1), (0, 0, 0)),
+        # A < 0: of the roots 0 and 11/6 only 0 is an integer
+        "negative_a": (-11, 3, -2, (-3, -3), 4, (0, -1, -1, 0), (-12, 11, 0)),
+    }
+
+    @pytest.mark.parametrize("name", ROOT_CASES)
+    def test_root_cases(self, name):
+        d, alpha, beta, (m, n), bound, coords, abc = self.ROOT_CASES[name]
+        field = QuadField(d)
+        lattice = Lattice.standard(field)
+        space = HermSpace(field, alpha, beta, field.elem(m, n) * field.inverse_sqrt_d())
+        w = space.integral_form(lattice).w
+        prefix = range(3)
+        a = w[3][3]
+        b = sum(w[3][i] * coords[i] for i in prefix)
+        c = sum(coords[i] * w[i][j] * coords[j] for i in prefix for j in prefix) - 2
+        assert (a, b, c) == abc
+        expected = lattice.from_integer_coords(coords)
+        assert box_search(space, lattice, bound) == expected
+        assert global_search(space, lattice, bound) == expected
+
+    def test_positive_definite_clamps_below_bound(self):
+        # the ellipsoid bounds are (2, 1, 3, 2), all below the height bound
+        field = QuadField(-11)
+        space = HermSpace(field, 2, 1, field.elem(Fraction(14, 11), Fraction(-6, 11)))
+        lattice = Lattice.standard(field)
+        expected = lattice.from_integer_coords((-1, 0, 1, -1))
+        for bound in (3, 6, 50):
+            assert box_search(space, lattice, bound) == expected
+            assert global_search(space, lattice, bound) == expected
 
     def test_negative_definite_none(self):
         assert global_search(HermSpace(F7, -1, -1, F7.zero()), STD7, 10) is None
