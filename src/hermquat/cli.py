@@ -35,15 +35,19 @@ EXIT_EXHAUSTED = 5
 def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return jsonio.loads(fh.read())
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    return jsonio.loads(text)
 
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -139,7 +139,7 @@ def omega_matrix(field: QuadField):
 class HermSpace:
     """Binary hermitian space with Gram matrix [[alpha, gamma], [conj(gamma), beta]]."""
 
-    __slots__ = ("field", "alpha", "beta", "gamma", "_num", "_defin", "_gram4", "_form")
+    __slots__ = ("field", "alpha", "beta", "gamma", "_num", "_defin", "_form")
 
     def __init__(self, field: QuadField, alpha, beta, gamma):
         self.field = field
@@ -164,7 +164,6 @@ class HermSpace:
             self._defin = Definiteness.POSITIVE_DEFINITE
         else:
             self._defin = Definiteness.NEGATIVE_DEFINITE
-        self._gram4 = None
         self._form = None
 
     def s_value(self, v: Vector, w: Vector) -> QElem:
@@ -211,10 +210,8 @@ class HermSpace:
 
     def gram4(self):
         """Gram matrix of h on the fixed rational basis of V."""
-        if self._gram4 is None:
-            m, k = self._double_gram4()
-            self._gram4 = [[Fraction(x, 2 * k) for x in row] for row in m]
-        return self._gram4
+        m, k = self._double_gram4()
+        return [[Fraction(x, 2 * k) for x in row] for row in m]
 
     def definiteness(self) -> Definiteness:
         """Sylvester's criterion on the 2x2 hermitian Gram matrix."""
@@ -300,7 +297,7 @@ def polarize(h_gram, field: QuadField) -> HermSpace:
     m = omega_matrix(field)
     scaled = linalg.mat_mul(linalg.mat_mul(m, g), linalg.mat_transpose(m))
     nw = field.omega().norm()
-    if not linalg.mat_eq(scaled, [[nw * x for x in row] for row in g]):
+    if scaled != [[nw * x for x in row] for row in g]:
         raise NotHermitianError("h(omega*x) != n(omega)*h(x); form is not hermitian")
     s = sesquilinear_from_gram(g, field)
     alpha, gamma = s[0][0], s[0][1]
@@ -308,7 +305,7 @@ def polarize(h_gram, field: QuadField) -> HermSpace:
     if not (alpha.is_rational() and beta.is_rational()) or gamma_t != gamma.conj():
         raise NotHermitianError("polarization is not conjugate-symmetric")
     space = HermSpace(field, alpha.rational_value(), beta.rational_value(), gamma)
-    if not linalg.mat_eq(space.gram4(), g):
+    if space.gram4() != g:
         raise NotHermitianError("no hermitian form reproduces the given h")
     return space
 
@@ -322,11 +319,7 @@ def polarize_independence_check(h_gram, field: QuadField, l_samples) -> bool:
         if not isinstance(l, QElem) or l.conj() == l:
             raise InputError(f"invalid polarization sample {l!s}")
         mats.append(sesquilinear_from_gram(h_gram, field, l))
-    first = mats[0]
-    return all(
-        all(m[i][j] == first[i][j] for i in range(len(first)) for j in range(len(first)))
-        for m in mats[1:]
-    )
+    return all(m == mats[0] for m in mats[1:])
 
 
 # ---------------------------------------------------------------------------

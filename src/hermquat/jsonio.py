@@ -25,6 +25,9 @@ def rat_str(x) -> str:
 
 def parse_rat(s) -> Fraction:
     try:
+        # no exponent notation: Fraction("1e10000000") builds a 33-million-bit integer
+        if isinstance(s, str) and "e" in s.lower():
+            raise ValueError("exponent notation")
         return Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InputError(f"bad rational {s!r}") from exc
@@ -236,7 +239,8 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
+    # ValueError also covers ints over the digit limit; RecursionError, deep nesting
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputError(f"malformed JSON: {exc}") from exc

@@ -40,13 +40,6 @@ def vec_mat(v, m):
     return [sum(map(mul, v, col)) for col in zip(*m)]
 
 
-def mat_eq(a, b):
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
-
-
 def scaled_integer_matrix(rows):
     """(den * rows as ints, den) for den the lcm of the denominators."""
     den = math.lcm(*(x.denominator for row in rows for x in row))

@@ -140,32 +140,29 @@ class QuatAlgebra:
 
     def is_identity(self, e) -> bool:
         """Whether e is a two-sided identity, on the integer table: for
-        e = en / ed, e * e_b = sum_i en_i * tn[i][b] / (ed * td) and
-        e_b * e = sum_j en_j * tn[b][j] / (ed * td) must both be e_b.
+        e = en / ed, row b of ``_left_matrix(tn, en)`` is e * e_b and
+        en . tn[b] is e_b * e, both over ed * td, and each must be e_b.
         """
         (en,), ed = linalg.scaled_integer_matrix([e])
         tn = self._tn
         unit = [[ed * self._td * (i == j) for j in range(4)] for i in range(4)]
-        left = [linalg.vec_mat(en, [tn[i][b] for i in range(4)]) for b in range(4)]
         right = [linalg.vec_mat(en, tn[b]) for b in range(4)]
-        return left == unit == right
+        return _left_matrix(tn, en) == unit == right
 
     def associativity_failures(self):
-        """Triples (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k).
+        """Triples (i, j, k), in lex order, with (e_i e_j) e_k != e_i (e_j e_k).
 
-        Both sides are compared on the integer table, scaled by _td^2:
-        (e_i e_j) e_k = sum_m tn[i][j][m] * tn[m][k] and
-        e_i (e_j e_k) = sum_m tn[j][k][m] * tn[i][m].
+        Both sides are compared on the integer table, scaled by _td^2: row k
+        of ``_left_matrix(tn, tn[i][j])`` is (e_i e_j) e_k, and row k of
+        tn[j] . tn[i] is e_i (e_j e_k).
         """
         tn = self._tn
         fails = []
         for i in range(4):
             for j in range(4):
-                for k in range(4):
-                    lhs = linalg.vec_mat(tn[i][j], [tn[m][k] for m in range(4)])
-                    rhs = linalg.vec_mat(tn[j][k], tn[i])
-                    if lhs != rhs:
-                        fails.append((i, j, k))
+                lhs = _left_matrix(tn, tn[i][j])
+                rhs = linalg.mat_mul(tn[j], tn[i])
+                fails += [(i, j, k) for k in range(4) if lhs[k] != rhs[k]]
         return fails
 
     def reduced_norm(self, x) -> Fraction:
@@ -366,9 +363,6 @@ class QuatOrder:
         zinv, det = self._zinv
         return linalg.vec_mat(xn, zinv), xd * det
 
-    def element(self, coords):
-        return linalg.vec_mat([Fraction(c) for c in coords], self.zbasis)
-
     def discriminant(self) -> DiscValue:
         return lattice_disc(self.algebra, self.zbasis)
 
@@ -397,9 +391,6 @@ class Embedding:
                     lhs = [s + cc * t for s, t in zip(lhs, order.products[i][j])]
         if any(lhs):
             raise InputError("omega image fails the minimal polynomial")
-
-    def omega_alg(self):
-        return self.order.element(self.omega_image)
 
 
 def build_order(space: HermSpace, lattice: Lattice, point: Vector):
@@ -454,10 +445,10 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
     if sum(map(mul, linalg.vec_mat(on, s), on)) != q * od * od:
         raise InvariantViolation("identity has reduced norm != 1")
     # w = sum c_i z_i with integer c_i and the order is closed, so w * z
-    # stays in the order: the lattice is B-stable.  w = wn / wd acts by
-    # x -> x . _left_matrix(tn, wn) / (wd * td).
-    (wn,), wd = linalg.scaled_integer_matrix([emb.omega_alg()])
-    omega = (_left_matrix(alg._tn, wn), wd * alg._td)
+    # stays in the order: the lattice is B-stable.  For the Z-basis zn / dz,
+    # w = c . zn / dz acts by x -> x . _left_matrix(tn, c . zn) / (dz * td).
+    zn, dz = linalg.scaled_integer_matrix(order.zbasis)
+    omega = (_left_matrix(alg._tn, linalg.vec_mat(emb.omega_image, zn)), dz * alg._td)
     theta, fn, fd = _unit_frame(field, (s, q // 2), omega, (on, od))
     if theta == 0:
         raise DegenerateFormError("norm form degenerate on the orthogonal line")
@@ -471,7 +462,6 @@ def order_to_pointed(order: QuatOrder, emb: Embedding) -> PointedForm:
     # the Z-basis zn / dz through frame^-1 = fd * adj(fn) / det(fn); the
     # first frame row is 1, so the point is e1
     adj, det = linalg.int_adjugate(fn)
-    zn, dz = linalg.scaled_integer_matrix(order.zbasis)
     basis = [vec_from_coords(field, [Fraction(c * fd, dz * det) for c in row])
              for row in linalg.mat_mul(zn, adj)]
     point = (field.one(), field.zero())

@@ -10,6 +10,7 @@ constructive.
 from __future__ import annotations
 
 from math import isqrt
+from operator import mul
 
 from . import linalg
 from .arith import isprime, sqrt_mod as _sqrt_mod
@@ -127,7 +128,7 @@ def _unit_value(w, vecs, p: int):
 
 
 def _h_value(w, x) -> int:
-    return sum(x[i] * sum(w[i][j] * x[j] for j in range(4)) for i in range(4)) // 2
+    return sum(map(mul, linalg.vec_mat(x, w), x)) // 2
 
 
 def _norm_residue_scale(field: QuadField, target: int, modulus: int):
@@ -203,12 +204,9 @@ def _local_unramified(form: IntegralForm, p: int):
         )
     # lambda*x for lambda = r + s*omega has coordinates r*u + s*(u.Omega)
     r, s = rs
-    omega = form.lattice.omega_rows()
     q = p**k
-    cert_vec = tuple(
-        (r * u[j] + s * sum(u[i] * omega[i][j] for i in range(4))) % q
-        for j in range(4)
-    )
+    uo = linalg.vec_mat(u, form.lattice.omega_rows())
+    cert_vec = tuple((r * x + s * y) % q for x, y in zip(u, uo))
     cert = Certificate(cert_vec, k, t)
     if not hensel_liftable(form.w, cert_vec, p, t):
         raise InvariantViolation(f"constructed certificate fails Hensel at p = {p}")
@@ -227,7 +225,7 @@ def _local_ramified(form: IntegralForm, p: int, v_delta: int):
         units.append((u, hu % p))
         # the pivot takes the first slot, whose vector moves to slot k
         vecs[k] = vecs[0]
-        wu = [sum(w[i][j] * u[j] for j in range(4)) for i in range(4)]
+        wu = linalg.vec_mat(u, w)
         inv = pow(2 * hu, -1, p)
         rest = []
         for v in vecs[1:]:

@@ -12,14 +12,12 @@ from fractions import Fraction
 from itertools import product
 
 from . import jsonio, linalg
-from .arith import factorint
 from .errors import UnsupportedRamificationError
 from .hermitian import (
     Definiteness,
     HermSpace,
     Lattice,
     Record,
-    discriminant_form,
     det_form,
     lattice_from_B_basis,
     omega_matrix,
@@ -37,13 +35,8 @@ from .quaternion import (
     lattice_disc,
     order_to_pointed,
 )
-from .represent import (
-    VERDICT_REPRESENTED,
-    RepresentConfig,
-    global_search,
-    represents_one_integral,
-)
-from .sweep import surviving_forms
+from .represent import VERDICT_REPRESENTED, RepresentConfig, global_search
+from .sweep import run_row, surviving_forms
 
 DEFAULT_FIELDS = (-3, -7, -11, -15)
 CLASS_NUMBER_ONE_FIELDS = (-3, -7)
@@ -122,12 +115,9 @@ def random_integral_pointed_lattice(rng, field):
         beta = rng.randint(-3, 3)
         gamma = field.elem(rng.randint(-3, 3), rng.randint(-3, 3)) * inv_sqrt
         space = HermSpace(field, alpha, beta, gamma)
-        if not space.is_nondegenerate():
-            continue
         if space.definiteness() != Definiteness.INDEFINITE:
             continue
-        delta = discriminant_form(space, lattice)
-        if any(e > 1 for e in factorint(int(delta.as_ideal)).values()):
+        if any(e > 1 for e in space.integral_form(lattice).delta_factors().values()):
             continue
         point = global_search(space, lattice, 30)
         if point is None:
@@ -331,12 +321,10 @@ def suite_represent(seed=0) -> SuiteResult:
             if space.definiteness() != Definiteness.INDEFINITE:
                 continue
             result.cases += 1
-            report = represents_one_integral(space, lattice, config)
+            report, _, discs_equal = run_row(space, lattice, delta, config)
             if report.verdict != VERDICT_REPRESENTED:
                 result.record(form=jsonio.herm_obj(space), verdict=report.verdict)
-                continue
-            order, emb = build_order(space, lattice, report.witness)
-            if order.discriminant().value != delta.value:
+            elif not discs_equal:
                 result.record(form=jsonio.herm_obj(space), error="discriminants differ")
     return result
 
@@ -353,9 +341,4 @@ SUITES = {
 def run_suites(names, seed=0):
     if "all" in names:
         names = list(SUITES)
-    out = []
-    for name in names:
-        if name not in SUITES:
-            raise KeyError(name)
-        out.append(SUITES[name](seed=seed))
-    return out
+    return [SUITES[name](seed=seed) for name in names]

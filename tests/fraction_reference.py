@@ -19,7 +19,10 @@ by an index; the tests compare these with alpha*beta - n(gamma) in
 Fractions, with the bilinear form on whole vectors, with the QElem
 construction of the frame, and with Hermite normal forms.  It finds the
 first witness of h = 1 by solving for the last coordinate; the tests
-compare it with ``box_search``, the walk over every vector of the box.
+compare it with ``box_search``, the walk over every vector of the box.  It
+checks associativity with one left-multiplication matrix per product
+e_i e_j; the tests compare it with ``table_associativity_failures``, both
+sides of each of the 64 triples.
 
 It also holds the constructors and the algebra operations only the tests
 use: ``vec``, ``is_integral_elem``, ``algebra_table``, ``reduced_trace``
@@ -73,6 +76,19 @@ def conj(alg, x):
     """The conjugate trd(x) * 1 - x."""
     t = reduced_trace(alg, x)
     return [t * o - xi for o, xi in zip(alg.one, x)]
+
+
+def table_associativity_failures(table):
+    """Triples (i, j, k), in lex order, with (e_i e_j) e_k != e_i (e_j e_k),
+    each side computed from ``table`` on its own."""
+    return [
+        (i, j, k)
+        for i in range(4)
+        for j in range(4)
+        for k in range(4)
+        if linalg.vec_mat(table[i][j], [table[m][k] for m in range(4)])
+        != linalg.vec_mat(table[j][k], table[i])
+    ]
 
 
 def identity_matrix(n: int) -> list[list[Fraction]]:

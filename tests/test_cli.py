@@ -120,6 +120,24 @@ class TestAnalyze:
         code, _ = run_cli(["analyze", str(bad)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, out",
+        [
+            (b'{"d": -7, "alpha": "\xff"}', None),
+            (b"[" * 200_000 + b"]" * 200_000, None),
+            (b'{"d": ' + b"7" * 5000 + b"}", None),
+            (None, "missing/out.json"),
+        ],
+        ids=["not-utf8", "deep-nesting", "long-int", "out-dir-missing"],
+    )
+    def test_malformed_bytes_exit_2(self, tmp_path, capsys, data, out):
+        path = write_form(tmp_path, HermSpace(F7, 1, -1, F7.zero()))
+        if data is not None:
+            Path(path).write_bytes(data)
+        args = ["analyze", path] + (["--out", str(tmp_path / out)] if out else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_det_form_runs_once(self, tmp_path, capsys, monkeypatch):
         # analyze calls det_form once, and det_form reads the integer Gram:
         # no call under it enters qfield.py
@@ -166,7 +184,8 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("alpha", float("inf")), ("beta", float("-inf")), ("gamma", {"a": float("inf"), "b": 0})],
+        [("alpha", float("inf")), ("beta", float("-inf")), ("gamma", {"a": float("inf"), "b": 0}),
+         ("alpha", "1e5000")],
     )
     def test_infinite_rational_exit_2(self, tmp_path, capsys, key, value):
         obj = jsonio.herm_obj(HermSpace(F7, 1, -1, F7.zero()))

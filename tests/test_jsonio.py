@@ -149,8 +149,9 @@ class TestValidation:
         order, emb = m2z_order()
         obj = jsonio.order_obj(order, emb)
         obj["mult_table"][1][1][0] = "99"
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as err:
             jsonio.parse_order(obj)
+        assert str(err.value) == "multiplication table is not associative at (1, 0, 1)"
 
     def test_short_or_long_vectors_rejected(self):
         order, emb = m2z_order()

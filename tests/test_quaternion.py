@@ -60,13 +60,16 @@ from fraction_reference import (
     mat_inverse,
     reduced_trace,
     reference_frame,
+    table_associativity_failures,
     to_space,
     vec,
 )
 from tests_fixtures import (
     CLOSED_FORM_FIELDS,
+    hamilton_table,
     hurwitz_order,
     m2z_order,
+    matrix_units_table,
     random_b_stable_pairs,
 )
 
@@ -95,12 +98,7 @@ class TestAlgebraTable:
         left = [[[int(k == j) for k in range(4)] for j in range(4)] for _ in range(4)]
         right = [[[int(k == i) for k in range(4)] for _ in range(4)] for i in range(4)]
         for table in (left, right):
-            for i in range(4):
-                for j in range(4):
-                    for k in range(4):
-                        lhs = linalg.vec_mat(table[i][j], [table[m][k] for m in range(4)])
-                        rhs = linalg.vec_mat(table[j][k], table[i])
-                        assert lhs == rhs
+            assert table_associativity_failures(table) == []
             with pytest.raises(InputError, match="two-sided identity"):
                 QuatAlgebra(F7, table)
         # the integer test against products through mul, on a rational table
@@ -112,6 +110,18 @@ class TestAlgebraTable:
         ]:
             expected = all(alg.mul(e, b) == b == alg.mul(b, e) for b in std_basis())
             assert alg.is_identity(e) == expected
+
+    def test_associativity_failures_match_reference(self):
+        # one corrupted entry at a time: the same triples, in the same order,
+        # as the triple-by-triple reference
+        for table, one in ((matrix_units_table(), [1, 0, 0, 1]), (hamilton_table(), None)):
+            for a in range(4):
+                for b in range(4):
+                    alg = QuatAlgebra(F3, table, one=one)
+                    alg._tn[a][b][(a + b) % 4] += 1
+                    expected = table_associativity_failures(alg.table)
+                    assert expected
+                    assert alg.associativity_failures() == expected
 
     def test_trace_matrix_determinant(self):
         # det of the trace pairing on (1, pi, u, pi*u) is -(a^2-4b)^2 theta^2
@@ -402,7 +412,7 @@ class TestIntegerKernel:
                 assert all(type(c) is int for row in o.products for p in row for c in p)
                 zinv = mat_inverse(o.zbasis)
                 for x in ([Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(4)],
-                          o.element([rng.randint(-3, 3) for _ in range(4)])):
+                          linalg.vec_mat([rng.randint(-3, 3) for _ in range(4)], o.zbasis)):
                     coords = linalg.vec_mat(x, zinv)
                     c, q = o._coord_numerators(x)
                     assert [Fraction(t, q) for t in c] == coords
@@ -513,7 +523,7 @@ class TestIntegerKernel:
         rejected = 0
         for _ in range(200):
             image = [rng.randint(-2, 2) for _ in range(4)]
-            w = order.element(image)
+            w = linalg.vec_mat(image, order.zbasis)
             lhs = [x + field.min_a * y + field.min_b * o
                    for x, y, o in zip(alg.mul(w, w), w, alg.one)]
             if any(lhs):
@@ -716,7 +726,7 @@ class TestRoundTrips:
 class TestM2Z:
     def test_embedding_minimal_polynomial(self):
         order, emb = m2z_order()
-        w = emb.omega_alg()
+        w = linalg.vec_mat(emb.omega_image, order.zbasis)
         # oracle: 2x2 matrix arithmetic for [[0,-1],[1,1]]
         assert reduced_trace(order.algebra, w) == 1
         assert order.algebra.reduced_norm(w) == 1
